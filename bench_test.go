@@ -353,7 +353,7 @@ func BenchmarkGenerateBatched(b *testing.B) {
 // of a cold fleet-concurrency campaign. Run it at -cpu 1,4 to expose
 // lock-behavior regressions: the sharded caches and group-commit
 // store are what let the 4-core run beat the 1-core run by the
-// >=2.5x benchguard gates (parallel_scaling in ci/bench-baseline.json).
+// >=2.5x benchguard gates (the parallel-scaling row of its gate table).
 func BenchmarkCampaignParallel(b *testing.B) {
 	originals, _ := fixtures()
 	models := llm.Models[:4]
@@ -387,7 +387,7 @@ func latencyCampaign() ([]llm.Model, []dataset.Problem, *inference.Delay, *infer
 // latency and execution overlap — wall clock approaches
 // max(generation, execution) instead of their sum. The twin
 // BenchmarkCampaignInterleaved is the pre-pipeline shape; benchguard's
-// -min-pipeline-overlap gate requires this benchmark to beat it by the
+// pipeline-overlap row requires this benchmark to beat it by the
 // overlap factor in the same run.
 func BenchmarkCampaignPipelined(b *testing.B) {
 	models, probs, prov, gen := latencyCampaign()
@@ -506,8 +506,8 @@ func BenchmarkStoreOpenWarm(b *testing.B) {
 // restart: the same fixture as BenchmarkStoreOpenWarm, but compacted,
 // so every shard carries an index-snapshot sidecar and Open loads the
 // offset index without decoding a single frame. The ratio of
-// StoreOpenWarm to this benchmark is benchguard's -min-open-speedup
-// gate — the O(log) → O(tail) restart claim, measured.
+// StoreOpenWarm to this benchmark is benchguard's snapshot-open row —
+// the O(log) → O(tail) restart claim, measured.
 func BenchmarkStoreOpenSnapshot(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "bench.store")
 	s, err := store.Open(path)

@@ -126,4 +126,17 @@ func TestClientTenantScoping(t *testing.T) {
 	if sa.ID == sb.ID {
 		t.Errorf("tenants team-a and team-b share campaign ID %s", sa.ID)
 	}
+
+	// Both campaigns write under the server's temp dir; wait them out so
+	// its cleanup does not race their checkpoint writes.
+	waitCtx, cancel := context.WithTimeout(ctx, 30*time.Second)
+	defer cancel()
+	for _, w := range []struct {
+		c  *client.Client
+		id string
+	}{{a, sa.ID}, {b, sb.ID}} {
+		if _, err := w.c.WaitCampaign(waitCtx, w.id, 10*time.Millisecond); err != nil {
+			t.Fatalf("wait campaign %s: %v", w.id, err)
+		}
+	}
 }

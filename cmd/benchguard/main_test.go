@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -21,11 +20,265 @@ BenchmarkColdPathCampaign-8  	     141	   8220631 ns/op	 3110758 B/op	   50274 a
 PASS
 `
 
-func TestParseBench(t *testing.T) {
-	got, err := parseBench(strings.NewReader(sample))
+// healthy is a run of every gated benchmark, with the -cpu points CI
+// records, in which every row passes: CampaignParallel scales 3.2x,
+// StoreAppendParallel 2x, snapshot Open is 4.4x faster over 5000
+// records, and the pipelined campaign 8x faster at 4 cores (the
+// headline) but 20x at 1 core.
+const healthy = `goos: linux
+pkg: cloudeval
+BenchmarkZeroShotSerial-4       	       1	3000000000 ns/op	         0.483 gpt4-unit-test
+BenchmarkZeroShotEngine-4       	       1	 900000000 ns/op	      6675 cache-hits	      5120 unit-tests-executed
+BenchmarkColdPathUnitTest-4     	   46807	     25000 ns/op	   13870 B/op	     227 allocs/op
+BenchmarkColdPathCampaign-4     	     141	   8220631 ns/op	 3110758 B/op	   50274 allocs/op
+BenchmarkGenerateBatched-4      	      50	  11000000 ns/op	 4340000 B/op	   15729 allocs/op
+BenchmarkCampaignParallel       	       3	 320000000 ns/op	 4000000 B/op	   20000 allocs/op
+BenchmarkCampaignParallel-4     	       4	 100000000 ns/op	 4100000 B/op	   20500 allocs/op
+BenchmarkStoreAppendParallel    	    1000	     30000 ns/op	         8.000 frames-per-flush
+BenchmarkStoreAppendParallel-4  	    4000	     15000 ns/op	        24.00 frames-per-flush
+BenchmarkStoreOpenWarm-4        	      20	  22000000 ns/op	      5000 records-replayed
+BenchmarkStoreOpenSnapshot-4    	      80	   5000000 ns/op	      5000 records-replayed
+BenchmarkStoreColdGet-4         	  200000	      6500 ns/op	     824 B/op	      11 allocs/op
+BenchmarkCampaignPipelined      	       5	 200000000 ns/op	        64.00 peak-gen-inflight
+BenchmarkCampaignPipelined-4    	      10	 150000000 ns/op	        64.00 peak-gen-inflight
+BenchmarkCampaignInterleaved    	       1	4000000000 ns/op
+BenchmarkCampaignInterleaved-4  	       1	1200000000 ns/op
+PASS
+`
+
+// edit returns bench with every line starting with prefix replaced by
+// repl, or dropped when repl is "".
+func edit(bench, prefix, repl string) string {
+	var out []string
+	found := false
+	for _, line := range strings.Split(bench, "\n") {
+		if strings.HasPrefix(line, prefix) {
+			found = true
+			if repl == "" {
+				continue
+			}
+			line = repl
+		}
+		out = append(out, line)
+	}
+	if !found {
+		panic("no bench line starts with " + prefix)
+	}
+	return strings.Join(out, "\n")
+}
+
+func mustParse(t *testing.T, bench string) map[string]BenchResult {
+	t.Helper()
+	got, err := parseBench(strings.NewReader(bench))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return got
+}
+
+func rowNamed(t *testing.T, rows []gate, name string) gate {
+	t.Helper()
+	for _, g := range rows {
+		if g.name == name {
+			return g
+		}
+	}
+	t.Fatalf("no gate row %q", name)
+	return gate{}
+}
+
+// rowCase evaluates one row on bench output against a baseline run.
+type rowCase struct {
+	name     string
+	gate     string
+	bench    string
+	baseline string // bench output recorded as the baseline
+	cpus     int
+	want     string // "pass", "fail" or "skip"
+}
+
+func checkRows(t *testing.T, cases []rowCase) {
+	t.Helper()
+	for _, tc := range cases {
+		t.Run(tc.gate+"/"+tc.name, func(t *testing.T) {
+			base := mustParse(t, tc.baseline)
+			r := rowNamed(t, expand(gates, base, true, true), tc.gate).eval(mustParse(t, tc.bench), base, tc.cpus)
+			got := "pass"
+			if r.Skipped != "" {
+				got = "skip"
+			}
+			if r.Failed != "" {
+				got = "fail"
+			}
+			if got != tc.want {
+				t.Errorf("got %s, want %s: %+v", got, tc.want, r)
+			}
+		})
+	}
+}
+
+// TestRatioRows covers the same-run ratio rows, with the CPU count
+// passed explicitly so the 4-CPU enforcement runs on any machine.
+func TestRatioRows(t *testing.T) {
+	slowParallel := edit(healthy, "BenchmarkCampaignParallel-4", "BenchmarkCampaignParallel-4 4 200000000 ns/op")
+	slowStore := edit(healthy, "BenchmarkStoreAppendParallel-4", "BenchmarkStoreAppendParallel-4 4000 25000 ns/op")
+	slowPipe := edit(healthy, "BenchmarkCampaignPipelined-4", "BenchmarkCampaignPipelined-4 10 1000000000 ns/op")
+	tinyOpen := strings.ReplaceAll(healthy, "5000 records-replayed", "100 records-replayed")
+	checkRows(t, []rowCase{
+		{name: "3.2x", gate: "parallel-scaling", bench: healthy, cpus: 4, want: "pass"},
+		{name: "1.6x", gate: "parallel-scaling", bench: slowParallel, cpus: 4, want: "fail"},
+		{name: "absent", gate: "parallel-scaling", bench: edit(healthy, "BenchmarkCampaignParallel", ""), cpus: 4, want: "fail"},
+		{name: "no -cpu 4 point", gate: "parallel-scaling", bench: edit(healthy, "BenchmarkCampaignParallel-4", ""), cpus: 4, want: "fail"},
+		{name: "2 CPUs", gate: "parallel-scaling", bench: slowParallel, cpus: 2, want: "skip"},
+
+		{name: "2.0x", gate: "store-scaling", bench: healthy, cpus: 4, want: "pass"},
+		{name: "exactly 1.5x", gate: "store-scaling", bench: edit(healthy, "BenchmarkStoreAppendParallel-4", "BenchmarkStoreAppendParallel-4 4000 20000 ns/op"), cpus: 4, want: "pass"},
+		{name: "1.2x", gate: "store-scaling", bench: slowStore, cpus: 4, want: "fail"},
+		{name: "absent", gate: "store-scaling", bench: edit(healthy, "BenchmarkStoreAppendParallel", ""), cpus: 4, want: "fail"},
+		{name: "2 CPUs", gate: "store-scaling", bench: slowStore, cpus: 2, want: "skip"},
+
+		{name: "4.4x", gate: "snapshot-open", bench: healthy, cpus: 2, want: "pass"},
+		{name: "2.75x", gate: "snapshot-open", bench: edit(healthy, "BenchmarkStoreOpenSnapshot", "BenchmarkStoreOpenSnapshot-4 80 8000000 ns/op 5000 records-replayed"), cpus: 4, want: "fail"},
+		{name: "absent", gate: "snapshot-open", bench: edit(edit(healthy, "BenchmarkStoreOpenWarm", ""), "BenchmarkStoreOpenSnapshot", ""), cpus: 4, want: "fail"},
+		{name: "100-record fixture", gate: "snapshot-open", bench: tinyOpen, cpus: 4, want: "skip"},
+
+		{name: "8x", gate: "pipeline-overlap", bench: healthy, cpus: 4, want: "pass"},
+		{name: "1.2x", gate: "pipeline-overlap", bench: slowPipe, cpus: 4, want: "fail"},
+		{name: "absent", gate: "pipeline-overlap", bench: edit(healthy, "BenchmarkCampaignPipelined", ""), cpus: 4, want: "fail"},
+		{name: "2 CPUs", gate: "pipeline-overlap", bench: slowPipe, cpus: 2, want: "skip"},
+	})
+
+	// The overlap is read at the headline, the last -cpu point parsed:
+	// 8x at 4 cores, not the 20x of the 1-core points.
+	r := rowNamed(t, gates, "pipeline-overlap").eval(mustParse(t, healthy), nil, 4)
+	if r.Value != 8 {
+		t.Errorf("pipeline-overlap value = %v, want 8 from the 4-core points", r.Value)
+	}
+}
+
+// TestCapRows covers the fixed caps, each pinned at its boundary.
+func TestCapRows(t *testing.T) {
+	cold := func(ns string) string {
+		return edit(healthy, "BenchmarkColdPathUnitTest", "BenchmarkColdPathUnitTest-4 46807 "+ns+" ns/op 13870 B/op 227 allocs/op")
+	}
+	batched := func(allocs string) string {
+		return edit(healthy, "BenchmarkGenerateBatched", "BenchmarkGenerateBatched-4 50 11000000 ns/op"+allocs)
+	}
+	coldGet := func(allocs string) string {
+		return edit(healthy, "BenchmarkStoreColdGet", "BenchmarkStoreColdGet-4 200000 6500 ns/op"+allocs)
+	}
+	// The loadgen pseudo-benchmark written as a bench line.
+	lg := func(p99, rate string) string {
+		return "BenchmarkLoadgen 200 0 ns/op " + p99 + " p99-ms " + rate + " error-rate\n"
+	}
+	checkRows(t, []rowCase{
+		{name: "4x below pre-overhaul", gate: "cold-unittest", bench: healthy, cpus: 2, want: "pass"},
+		{name: "exactly 2x", gate: "cold-unittest", bench: cold("49906"), cpus: 2, want: "pass"},
+		{name: "1.6x", gate: "cold-unittest", bench: cold("62383"), cpus: 2, want: "fail"},
+		{name: "absent", gate: "cold-unittest", bench: edit(healthy, "BenchmarkColdPathUnitTest", ""), cpus: 2, want: "fail"},
+
+		{name: "15729", gate: "generate-batched-allocs", bench: healthy, cpus: 2, want: "pass"},
+		{name: "35500", gate: "generate-batched-allocs", bench: batched(" 1 B/op 35500 allocs/op"), cpus: 2, want: "pass"},
+		{name: "35501", gate: "generate-batched-allocs", bench: batched(" 1 B/op 35501 allocs/op"), cpus: 2, want: "fail"},
+		{name: "no -benchmem", gate: "generate-batched-allocs", bench: batched(""), cpus: 2, want: "skip"},
+		{name: "absent", gate: "generate-batched-allocs", bench: edit(healthy, "BenchmarkGenerateBatched", ""), cpus: 2, want: "fail"},
+
+		{name: "11", gate: "store-cold-get-allocs", bench: healthy, cpus: 2, want: "pass"},
+		{name: "25", gate: "store-cold-get-allocs", bench: coldGet(" 1 B/op 25 allocs/op"), cpus: 2, want: "fail"},
+		{name: "no -benchmem", gate: "store-cold-get-allocs", bench: coldGet(""), cpus: 2, want: "skip"},
+		{name: "absent", gate: "store-cold-get-allocs", bench: edit(healthy, "BenchmarkStoreColdGet", ""), cpus: 2, want: "fail"},
+
+		{name: "40ms", gate: "loadgen-p99-ms", bench: lg("40", "0"), cpus: 4, want: "pass"},
+		{name: "600ms", gate: "loadgen-p99-ms", bench: lg("600", "0"), cpus: 4, want: "fail"},
+		{name: "2 CPUs", gate: "loadgen-p99-ms", bench: lg("600", "0"), cpus: 2, want: "skip"},
+
+		{name: "clean", gate: "loadgen-error-rate", bench: lg("40", "0"), cpus: 1, want: "pass"},
+		{name: "1%", gate: "loadgen-error-rate", bench: lg("40", "0.01"), cpus: 1, want: "pass"},
+		{name: "5%", gate: "loadgen-error-rate", bench: lg("40", "0.05"), cpus: 1, want: "fail"},
+	})
+}
+
+// TestRegressionRows covers the rows bounded by the baseline's own
+// measurements.
+func TestRegressionRows(t *testing.T) {
+	fastEngine := edit(healthy, "BenchmarkZeroShotEngine", "BenchmarkZeroShotEngine-4 1 450000000 ns/op")
+	coldAllocs := func(allocs string) string {
+		return edit(healthy, "BenchmarkColdPathUnitTest", "BenchmarkColdPathUnitTest-4 46807 25000 ns/op"+allocs)
+	}
+	checkRows(t, []rowCase{
+		{name: "at parity", gate: "engine-vs-serial", bench: healthy, baseline: healthy, cpus: 2, want: "pass"},
+		{name: "100% over", gate: "engine-vs-serial", bench: healthy, baseline: fastEngine, cpus: 2, want: "fail"},
+		{name: "absent", gate: "engine-vs-serial", bench: edit(healthy, "BenchmarkZeroShotEngine", ""), baseline: healthy, cpus: 2, want: "fail"},
+		{name: "absent from baseline", gate: "engine-vs-serial", bench: healthy, cpus: 2, want: "fail"},
+
+		{name: "at parity", gate: "allocs:ColdPathUnitTest", bench: healthy, baseline: healthy, cpus: 2, want: "pass"},
+		{name: "15% over", gate: "allocs:ColdPathUnitTest", bench: coldAllocs(" 1 B/op 261 allocs/op"), baseline: healthy, cpus: 2, want: "pass"},
+		{name: "127% over", gate: "allocs:ColdPathUnitTest", bench: healthy, baseline: coldAllocs(" 1 B/op 100 allocs/op"), cpus: 2, want: "fail"},
+		{name: "no -benchmem", gate: "allocs:ColdPathUnitTest", bench: coldAllocs(""), baseline: healthy, cpus: 2, want: "skip"},
+		{name: "absent", gate: "allocs:ColdPathUnitTest", bench: edit(healthy, "BenchmarkColdPathUnitTest", ""), baseline: healthy, cpus: 2, want: "fail"},
+	})
+
+	// The engine limit is the baseline's own ratio (0.3) plus 20%.
+	base := mustParse(t, healthy)
+	if r := rowNamed(t, gates, "engine-vs-serial").eval(base, base, 2); r.Value != 0.3 || r.Limit != 0.36 {
+		t.Errorf("engine-vs-serial = %+v, want value 0.3, limit 0.36", r)
+	}
+	// One allocation row per baseline benchmark that records allocs/op,
+	// in name order; benchmarks without one never participate.
+	var allocRows []string
+	for _, g := range expand(gates, mustParse(t, healthy+sample), true, false) {
+		if strings.HasPrefix(g.name, "allocs:") {
+			allocRows = append(allocRows, g.name)
+		}
+	}
+	want := "allocs:CampaignParallel allocs:ColdPathCampaign allocs:ColdPathUnitTest allocs:GenerateBatched allocs:StoreColdGet"
+	if got := strings.Join(allocRows, " "); got != want {
+		t.Errorf("allocation rows = %s, want %s", got, want)
+	}
+}
+
+// TestGateLimitsPinned holds every row at the threshold CI enforced
+// before the gates became a table, so a loosening shows up as a diff
+// to this test.
+func TestGateLimitsPinned(t *testing.T) {
+	type pin struct {
+		kind    kind
+		limit   float64
+		minCPUs int
+	}
+	want := map[string]pin{
+		"parallel-scaling":        {atLeast, 2.5, 4},
+		"store-scaling":           {atLeast, 1.5, 4},
+		"snapshot-open":           {atLeast, 3, 0},
+		"pipeline-overlap":        {atLeast, 1.54, 4},
+		"cold-unittest":           {atMost, 49906, 0},
+		"generate-batched-allocs": {atMost, 35500, 0},
+		"store-cold-get-allocs":   {atMost, 24, 0},
+		"loadgen-p99-ms":          {atMost, 500, 4},
+		"loadgen-error-rate":      {atMost, 0.01, 0},
+		"engine-vs-serial":        {regress, 1.20, 0},
+		"allocs":                  {regress, 1.15, 0},
+	}
+	if len(gates) != len(want) {
+		t.Errorf("%d gate rows, want %d", len(gates), len(want))
+	}
+	for _, g := range gates {
+		if got := (pin{g.kind, g.limit, g.minCPUs}); got != want[g.name] {
+			t.Errorf("%s = %+v, want %+v", g.name, got, want[g.name])
+		}
+	}
+	// The snapshot row trusts only fixtures of 2000 records or more.
+	open := rowNamed(t, gates, "snapshot-open")
+	at := func(n string) string {
+		return open.skip(mustParse(t, strings.ReplaceAll(healthy, "5000 records-replayed", n+" records-replayed")))
+	}
+	if at("1999") == "" || at("2000") != "" {
+		t.Errorf("snapshot-open skips at 1999: %q, at 2000: %q; want a skip only below 2000", at("1999"), at("2000"))
+	}
+}
+
+func TestParseBench(t *testing.T) {
+	got := mustParse(t, sample)
 	if len(got) != 5 {
 		t.Fatalf("parsed %d benchmarks, want 5", len(got))
 	}
@@ -45,148 +298,13 @@ func TestParseBench(t *testing.T) {
 	if _, ok := cold.Metrics["B/op"]; ok {
 		t.Error("B/op leaked into the metric map")
 	}
-	r, err := ratio(got)
-	if err != nil || r != 0.3 {
-		t.Errorf("ratio = %v, %v; want 0.3", r, err)
+	if r, err := rowNamed(t, gates, "engine-vs-serial").value(got); err != nil || r != 0.3 {
+		t.Errorf("engine/serial ratio = %v, %v; want 0.3", r, err)
 	}
 }
-
-func writeSample(t *testing.T, dir string) string {
-	t.Helper()
-	benchPath := filepath.Join(dir, "bench.txt")
-	if err := os.WriteFile(benchPath, []byte(sample), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return benchPath
-}
-
-func writeBaseline(t *testing.T, dir string, art Artifact) string {
-	t.Helper()
-	baselinePath := filepath.Join(dir, "baseline.json")
-	data, err := json.Marshal(art)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(baselinePath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return baselinePath
-}
-
-func TestRegressionGate(t *testing.T) {
-	dir := t.TempDir()
-	benchPath := writeSample(t, dir)
-
-	// Current ratio 0.3 vs baseline ratio 0.3: within the gate.
-	baselinePath := writeBaseline(t, dir, Artifact{
-		Sha: "baseline",
-		Benchmarks: map[string]BenchResult{
-			"ZeroShotSerial": {Iterations: 1, NsPerOp: 3e9},
-			"ZeroShotEngine": {Iterations: 1, NsPerOp: 9e8},
-		},
-	})
-	outPath := filepath.Join(dir, "BENCH_abc.json")
-	if err := run(benchPath, outPath, "abc", baselinePath, gates{maxRegress: 20}); err != nil {
-		t.Fatalf("gate failed within tolerance: %v", err)
-	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var art Artifact
-	if err := json.Unmarshal(data, &art); err != nil {
-		t.Fatal(err)
-	}
-	if art.Sha != "abc" || art.EngineVsSerial != 0.3 {
-		t.Errorf("artifact = sha %q ratio %v", art.Sha, art.EngineVsSerial)
-	}
-	if art.Benchmarks["ColdPathUnitTest"].AllocsPerOp != 227 {
-		t.Errorf("artifact lost allocs/op: %+v", art.Benchmarks["ColdPathUnitTest"])
-	}
-
-	// Baseline engine was 2x faster (ratio 0.15): current 0.3 is a 100%
-	// regression and must fail the gate.
-	baselinePath = writeBaseline(t, dir, Artifact{
-		Sha: "baseline",
-		Benchmarks: map[string]BenchResult{
-			"ZeroShotSerial": {Iterations: 1, NsPerOp: 3e9},
-			"ZeroShotEngine": {Iterations: 1, NsPerOp: 4.5e8},
-		},
-	})
-	if err := run(benchPath, "", "abc", baselinePath, gates{maxRegress: 20}); err == nil {
-		t.Fatal("gate passed a 100% engine regression")
-	}
-
-	// The same regression passes with the gate disabled.
-	if err := run(benchPath, "", "abc", baselinePath, gates{}); err != nil {
-		t.Fatalf("disabled gate failed: %v", err)
-	}
-}
-
-func TestAllocGate(t *testing.T) {
-	dir := t.TempDir()
-	benchPath := writeSample(t, dir)
-
-	// Baseline allocs match the sample: pass.
-	ok := Artifact{Benchmarks: map[string]BenchResult{
-		"ColdPathUnitTest": {Iterations: 1, NsPerOp: 25000, AllocsPerOp: 227},
-		"ColdPathCampaign": {Iterations: 1, NsPerOp: 8.2e6, AllocsPerOp: 50274},
-	}}
-	if err := run(benchPath, "", "abc", writeBaseline(t, dir, ok), gates{maxAllocRegress: 15}); err != nil {
-		t.Fatalf("alloc gate failed at parity: %v", err)
-	}
-
-	// Baseline was 100 allocs/op: the sample's 227 is a regression.
-	bad := Artifact{Benchmarks: map[string]BenchResult{
-		"ColdPathUnitTest": {Iterations: 1, NsPerOp: 25000, AllocsPerOp: 100},
-	}}
-	badPath := writeBaseline(t, dir, bad)
-	if err := run(benchPath, "", "abc", badPath, gates{maxAllocRegress: 15}); err == nil {
-		t.Fatal("alloc gate passed a 127% regression")
-	}
-	if err := run(benchPath, "", "abc", badPath, gates{}); err != nil {
-		t.Fatalf("disabled alloc gate failed: %v", err)
-	}
-
-	// Benchmarks without an alloc baseline never participate.
-	unrelated := Artifact{Benchmarks: map[string]BenchResult{
-		"ZeroShotSerial": {Iterations: 1, NsPerOp: 3e9},
-	}}
-	if err := run(benchPath, "", "abc", writeBaseline(t, dir, unrelated), gates{maxAllocRegress: 15}); err != nil {
-		t.Fatalf("alloc gate tripped without a baseline: %v", err)
-	}
-}
-
-// TestArtifactWrittenOnBadBaseline pins the CI contract: the
-// BENCH_<sha>.json artifact is written even when the baseline is
-// missing or corrupt (the workflow uploads it with `if: always()`),
-// and the baseline error still fails the run afterwards.
-func TestArtifactWrittenOnBadBaseline(t *testing.T) {
-	dir := t.TempDir()
-	benchPath := writeSample(t, dir)
-	outPath := filepath.Join(dir, "BENCH_bad.json")
-	missing := filepath.Join(dir, "nope.json")
-	if err := run(benchPath, outPath, "bad", missing, gates{maxRegress: 20}); err == nil {
-		t.Fatal("missing baseline did not fail the run")
-	}
-	if _, err := os.Stat(outPath); err != nil {
-		t.Fatalf("artifact not written on bad baseline: %v", err)
-	}
-}
-
-const parallelSample = `goos: linux
-pkg: cloudeval
-BenchmarkCampaignParallel    	       3	 320000000 ns/op	 4000000 B/op	   20000 allocs/op
-BenchmarkCampaignParallel-4  	       4	 100000000 ns/op	 4100000 B/op	   20500 allocs/op
-BenchmarkGenerateBatched-4   	      50	  11000000 ns/op	 4340000 B/op	   15729 allocs/op
-PASS
-`
 
 func TestParseBenchFoldsCPUVariants(t *testing.T) {
-	got, err := parseBench(strings.NewReader(parallelSample))
-	if err != nil {
-		t.Fatal(err)
-	}
+	got := mustParse(t, healthy)
 	cp, ok := got["CampaignParallel"]
 	if !ok {
 		t.Fatalf("CampaignParallel missing; parsed %v", got)
@@ -198,460 +316,265 @@ func TestParseBenchFoldsCPUVariants(t *testing.T) {
 	if cp.NsPerOp != 1e8 || cp.AllocsPerOp != 20500 {
 		t.Errorf("headline = %+v, want the -4 line", cp)
 	}
-	scale, ok := parallelScale(got)
-	if !ok || scale != 3.2 {
-		t.Errorf("parallelScale = %v, %v; want 3.2", scale, ok)
+	row := rowNamed(t, gates, "parallel-scaling")
+	if scale, err := row.value(got); err != nil || scale != 3.2 {
+		t.Errorf("parallel scaling = %v, %v; want 3.2", scale, err)
 	}
 	// A single-cpu run (no -4 line) yields no scaling figure.
-	single, err := parseBench(strings.NewReader(sample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := parallelScale(single); ok {
-		t.Error("parallelScale reported a figure without -cpu 1,4 data")
-	}
-}
-
-func TestParallelScaleGate(t *testing.T) {
-	good, err := parseBench(strings.NewReader(parallelSample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad, err := parseBench(strings.NewReader(strings.ReplaceAll(
-		parallelSample, " 100000000 ns/op", " 200000000 ns/op")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gateParallelScale(good, 0); err != nil {
-		t.Fatalf("disabled gate failed: %v", err)
-	}
-	if runtime.NumCPU() < 4 {
-		// The gate must announce itself skipped, not fail, on small
-		// runners — including this one.
-		if err := gateParallelScale(bad, 2.5); err != nil {
-			t.Fatalf("gate did not skip on a %d-CPU machine: %v", runtime.NumCPU(), err)
-		}
-		t.Skipf("%d CPUs: enforcement paths need >= 4", runtime.NumCPU())
-	}
-	if err := gateParallelScale(good, 2.5); err != nil {
-		t.Fatalf("gate failed a 3.2x speedup: %v", err)
-	}
-	if err := gateParallelScale(bad, 2.5); err == nil {
-		t.Fatal("gate passed a 1.6x speedup")
-	}
-	if err := gateParallelScale(map[string]BenchResult{}, 2.5); err == nil {
-		t.Fatal("gate passed with no CampaignParallel measurements")
-	}
-}
-
-const storeSample = `goos: linux
-pkg: cloudeval
-BenchmarkStoreAppendParallel    	    1000	     30000 ns/op	         8.000 frames-per-flush
-BenchmarkStoreAppendParallel-4  	    4000	     15000 ns/op	        24.00 frames-per-flush
-BenchmarkStoreOpenWarm-4        	      20	  22000000 ns/op	      5000 records-replayed
-PASS
-`
-
-func TestStoreScaleGate(t *testing.T) {
-	good, err := parseBench(strings.NewReader(storeSample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scale, ok := storeScale(good); !ok || scale != 2.0 {
-		t.Errorf("storeScale = %v, %v; want 2.0", scale, ok)
-	}
-	if warm, ok := good["StoreOpenWarm"]; !ok || warm.Metrics["records-replayed"] != 5000 {
-		t.Errorf("StoreOpenWarm = %+v, want records-replayed 5000", warm)
-	}
-	bad, err := parseBench(strings.NewReader(strings.ReplaceAll(
-		storeSample, "     15000 ns/op", "     25000 ns/op")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gateStoreScale(good, 0); err != nil {
-		t.Fatalf("disabled gate failed: %v", err)
-	}
-	if runtime.NumCPU() < 4 {
-		// The gate must announce itself skipped, not fail, on small
-		// runners — including this one.
-		if err := gateStoreScale(bad, 1.5); err != nil {
-			t.Fatalf("gate did not skip on a %d-CPU machine: %v", runtime.NumCPU(), err)
-		}
-		t.Skipf("%d CPUs: enforcement paths need >= 4", runtime.NumCPU())
-	}
-	if err := gateStoreScale(good, 1.5); err != nil {
-		t.Fatalf("gate failed a 2.0x speedup: %v", err)
-	}
-	if err := gateStoreScale(bad, 1.5); err == nil {
-		t.Fatal("gate passed a 1.2x speedup")
-	}
-	if err := gateStoreScale(map[string]BenchResult{}, 1.5); err == nil {
-		t.Fatal("gate passed with no StoreAppendParallel measurements")
-	}
-}
-
-// snapshotSample pairs the full-scan and snapshot Open benchmarks of
-// one run (4.4x apart) plus the cold-read path with -benchmem.
-const snapshotSample = `goos: linux
-pkg: cloudeval
-BenchmarkStoreOpenWarm-4        	      20	  22000000 ns/op	      5000 records-replayed
-BenchmarkStoreOpenSnapshot-4    	      80	   5000000 ns/op	      5000 records-replayed
-BenchmarkStoreColdGet-4         	  200000	      6500 ns/op	     824 B/op	      11 allocs/op
-PASS
-`
-
-func TestOpenSpeedupGate(t *testing.T) {
-	benchmarks, err := parseBench(strings.NewReader(snapshotSample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if speedup, frames, ok := openSpeedup(benchmarks); !ok || speedup != 4.4 || frames != 5000 {
-		t.Errorf("openSpeedup = %v, %v, %v; want 4.4 over 5000 frames", speedup, frames, ok)
-	}
-	if err := gateOpenSpeedup(benchmarks, 0); err != nil {
-		t.Fatalf("disabled gate failed: %v", err)
-	}
-	if err := gateOpenSpeedup(benchmarks, 3); err != nil {
-		t.Fatalf("gate failed a 4.4x speedup against a 3x floor: %v", err)
-	}
-	if err := gateOpenSpeedup(benchmarks, 5); err == nil {
-		t.Fatal("gate passed a 4.4x speedup against a 5x floor")
-	}
-	if err := gateOpenSpeedup(map[string]BenchResult{}, 3); err == nil {
-		t.Fatal("gate passed with neither Open benchmark present")
-	}
-	// A toy fixture must skip loudly, not pass or fail on noise.
-	tiny, err := parseBench(strings.NewReader(strings.ReplaceAll(
-		snapshotSample, "5000 records-replayed", "100 records-replayed")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gateOpenSpeedup(tiny, 1000); err != nil {
-		t.Fatalf("gate did not skip a 100-record fixture: %v", err)
-	}
-
-	// The measured speedup is recorded in the artifact.
-	dir := t.TempDir()
-	benchPath := filepath.Join(dir, "bench.txt")
-	if err := os.WriteFile(benchPath, []byte(snapshotSample), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	outPath := filepath.Join(dir, "BENCH_snap.json")
-	base := Artifact{StoreColdGetMaxAllocs: 24}
-	if err := run(benchPath, outPath, "snap", writeBaseline(t, dir, base), gates{minOpenSpeedup: 3}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var art Artifact
-	if err := json.Unmarshal(data, &art); err != nil {
-		t.Fatal(err)
-	}
-	if art.StoreOpenSnapshotSpeedup != 4.4 {
-		t.Errorf("artifact open speedup = %v, want 4.4", art.StoreOpenSnapshotSpeedup)
-	}
-	if art.StoreColdGetMaxAllocs != 24 {
-		t.Errorf("artifact cold-get cap = %v, want 24 carried from baseline", art.StoreColdGetMaxAllocs)
-	}
-}
-
-// pipelineSample pairs the pipelined and interleaved latency-campaign
-// benchmarks of one run: 8x apart at 4 cores, 20x at 1 core (a single
-// executor leaves the most latency exposed in the interleaved shape).
-const pipelineSample = `goos: linux
-pkg: cloudeval
-BenchmarkCampaignPipelined      	       5	 200000000 ns/op	        64.00 peak-gen-inflight
-BenchmarkCampaignPipelined-4    	      10	 150000000 ns/op	        64.00 peak-gen-inflight
-BenchmarkCampaignInterleaved    	       1	4000000000 ns/op
-BenchmarkCampaignInterleaved-4  	       1	1200000000 ns/op
-PASS
-`
-
-func TestPipelineOverlapGate(t *testing.T) {
-	benchmarks, err := parseBench(strings.NewReader(pipelineSample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The ratio must come from the 4-core points (8x), not the 1-core
-	// headline fallback (20x).
-	if overlap, ok := pipelineOverlap(benchmarks); !ok || overlap != 8 {
-		t.Errorf("pipelineOverlap = %v, %v; want 8 from the 4-core points", overlap, ok)
-	}
-	// Without -cpu points the headline ns/op carries the ratio.
-	headline := map[string]BenchResult{
-		pipelinedBench:   {NsPerOp: 100},
-		interleavedBench: {NsPerOp: 300},
-	}
-	if overlap, ok := pipelineOverlap(headline); !ok || overlap != 3 {
-		t.Errorf("headline pipelineOverlap = %v, %v; want 3", overlap, ok)
-	}
-	bad, err := parseBench(strings.NewReader(strings.ReplaceAll(
-		pipelineSample, " 150000000 ns/op", " 1000000000 ns/op")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gatePipelineOverlap(benchmarks, 0); err != nil {
-		t.Fatalf("disabled gate failed: %v", err)
-	}
-	if runtime.NumCPU() < 4 {
-		// The gate must announce itself skipped, not fail, on small
-		// runners — including this one.
-		if err := gatePipelineOverlap(bad, 1.54); err != nil {
-			t.Fatalf("gate did not skip on a %d-CPU machine: %v", runtime.NumCPU(), err)
-		}
-		t.Skipf("%d CPUs: enforcement paths need >= 4", runtime.NumCPU())
-	}
-	if err := gatePipelineOverlap(benchmarks, 1.54); err != nil {
-		t.Fatalf("gate failed an 8x overlap: %v", err)
-	}
-	if err := gatePipelineOverlap(bad, 1.54); err == nil {
-		t.Fatal("gate passed a 1.2x overlap")
-	}
-	if err := gatePipelineOverlap(map[string]BenchResult{}, 1.54); err == nil {
-		t.Fatal("gate passed with neither campaign benchmark present")
-	}
-}
-
-// TestPipelineOverlapInArtifact: the measured overlap folds into the
-// written artifact whether or not the gate is active.
-func TestPipelineOverlapInArtifact(t *testing.T) {
-	dir := t.TempDir()
-	benchPath := filepath.Join(dir, "bench.txt")
-	if err := os.WriteFile(benchPath, []byte(pipelineSample), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	outPath := filepath.Join(dir, "BENCH_pipe.json")
-	if err := run(benchPath, outPath, "pipe", "", gates{}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var art Artifact
-	if err := json.Unmarshal(data, &art); err != nil {
-		t.Fatal(err)
-	}
-	if art.PipelineOverlap != 8 {
-		t.Errorf("artifact pipeline overlap = %v, want 8", art.PipelineOverlap)
-	}
-}
-
-func TestColdGetAllocCapGate(t *testing.T) {
-	benchmarks, err := parseBench(strings.NewReader(snapshotSample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sample StoreColdGet is 11 allocs/op; cap 24 passes, 10 fails.
-	if err := gateColdGetAllocCap(benchmarks, Artifact{StoreColdGetMaxAllocs: 24}); err != nil {
-		t.Fatalf("cap gate failed under the cap: %v", err)
-	}
-	if err := gateColdGetAllocCap(benchmarks, Artifact{StoreColdGetMaxAllocs: 10}); err == nil {
-		t.Fatal("cap gate passed 11 allocs/op against a 10 cap")
-	}
-	if err := gateColdGetAllocCap(benchmarks, Artifact{}); err != nil {
-		t.Fatalf("cap gate tripped without a baseline record: %v", err)
-	}
-	if err := gateColdGetAllocCap(map[string]BenchResult{}, Artifact{StoreColdGetMaxAllocs: 24}); err != nil {
-		t.Fatalf("cap gate tripped on a run without the benchmark: %v", err)
-	}
-}
-
-func TestAllocCapGate(t *testing.T) {
-	benchmarks, err := parseBench(strings.NewReader(parallelSample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sample GenerateBatched is 15729 allocs/op; cap 35500 passes.
-	if err := gateAllocCap(benchmarks, Artifact{GenerateBatchedMaxAllocs: 35500}); err != nil {
-		t.Fatalf("cap gate failed under the cap: %v", err)
-	}
-	if err := gateAllocCap(benchmarks, Artifact{GenerateBatchedMaxAllocs: 15000}); err == nil {
-		t.Fatal("cap gate passed 15729 allocs/op against a 15000 cap")
-	}
-	// No recorded cap, or a run that skipped the benchmark: inactive.
-	if err := gateAllocCap(benchmarks, Artifact{}); err != nil {
-		t.Fatalf("cap gate tripped without a baseline record: %v", err)
-	}
-	if err := gateAllocCap(map[string]BenchResult{}, Artifact{GenerateBatchedMaxAllocs: 100}); err != nil {
-		t.Fatalf("cap gate tripped on a run without the benchmark: %v", err)
-	}
-
-	// End to end: the cap is carried from baseline into the artifact.
-	dir := t.TempDir()
-	benchPath := filepath.Join(dir, "bench.txt")
-	if err := os.WriteFile(benchPath, []byte(parallelSample), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	base := Artifact{GenerateBatchedMaxAllocs: 35500}
-	outPath := filepath.Join(dir, "BENCH_cap.json")
-	if err := run(benchPath, outPath, "cap", writeBaseline(t, dir, base), gates{}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var art Artifact
-	if err := json.Unmarshal(data, &art); err != nil {
-		t.Fatal(err)
-	}
-	if art.GenerateBatchedMaxAllocs != 35500 {
-		t.Errorf("artifact cap = %v, want 35500", art.GenerateBatchedMaxAllocs)
-	}
-	if art.CampaignParallelScaling != 3.2 {
-		t.Errorf("artifact scaling = %v, want 3.2", art.CampaignParallelScaling)
+	if _, err := row.value(mustParse(t, edit(healthy, "BenchmarkCampaignParallel-4", ""))); err == nil {
+		t.Error("parallel scaling reported without -cpu 1,4 data")
 	}
 }
 
 // healthyReport is a plausible loadgen report for a healthy service.
-func healthyReport() loadgen.Report {
-	return loadgen.Report{
+func healthyReport() *loadgen.Report {
+	return &loadgen.Report{
 		Target: "http://127.0.0.1:1", Requests: 200, Concurrency: 8,
 		DurationSec: 2, ThroughputQPS: 100,
 		LatencyMs: loadgen.Latency{P50: 3, P95: 12, P99: 40, Mean: 5, Max: 55},
 	}
 }
 
-func writeLoadgenReport(t *testing.T, dir string, rep loadgen.Report) string {
+// guard runs benchguard end to end on bench output with an optional
+// baseline (bench output) and loadgen report, and returns the artifact
+// it wrote along with the verdict.
+func guard(t *testing.T, bench, baseline string, rep *loadgen.Report, cpus int) (Artifact, error) {
 	t.Helper()
-	path := filepath.Join(dir, "loadgen.json")
-	if err := loadgen.WriteReport(path, rep); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestLoadgenLatencyGate is the seeded-regression check: a report whose
-// p99 exceeds the ceiling must fail the gate (cpus forced to 4 so the
-// enforcement path runs regardless of the host).
-func TestLoadgenLatencyGate(t *testing.T) {
-	good := healthyReport()
-	if err := gateLoadgenLatency(good, 100, 4); err != nil {
-		t.Fatalf("latency gate failed a 40ms p99 against a 100ms ceiling: %v", err)
-	}
-
-	// The seeded regression: p99 blows past the ceiling.
-	bad := healthyReport()
-	bad.LatencyMs.P99 = 250
-	if err := gateLoadgenLatency(bad, 100, 4); err == nil {
-		t.Fatal("latency gate passed a 250ms p99 against a 100ms ceiling")
-	}
-
-	// Small runners skip loudly instead of measuring scheduler noise.
-	if err := gateLoadgenLatency(bad, 100, 2); err != nil {
-		t.Fatalf("latency gate did not skip on a 2-CPU machine: %v", err)
-	}
-	// Ceiling 0 disables.
-	if err := gateLoadgenLatency(bad, 0, 4); err != nil {
-		t.Fatalf("disabled latency gate failed: %v", err)
-	}
-}
-
-func TestLoadgenErrorRateGate(t *testing.T) {
-	good := healthyReport()
-	if err := gateLoadgenErrors(good, 0.01); err != nil {
-		t.Fatalf("error gate failed a clean report: %v", err)
-	}
-	// A ceiling of exactly 0 is active: no errors tolerated.
-	if err := gateLoadgenErrors(good, 0); err != nil {
-		t.Fatalf("zero-ceiling gate failed a clean report: %v", err)
-	}
-
-	bad := healthyReport()
-	bad.ErrorRate = 0.05
-	bad.Errors = map[string]int{"rate_limited": 8, "http_500": 2}
-	err := gateLoadgenErrors(bad, 0.01)
-	if err == nil {
-		t.Fatal("error gate passed a 5% error rate against a 1% ceiling")
-	}
-	// The failure names the error classes, so CI logs say what broke.
-	if !strings.Contains(err.Error(), "rate_limited=8") {
-		t.Errorf("error gate failure does not name the classes: %v", err)
-	}
-	// Negative disables.
-	if err := gateLoadgenErrors(bad, -1); err != nil {
-		t.Fatalf("disabled error gate failed: %v", err)
-	}
-}
-
-// TestLoadgenGateEndToEnd drives the -loadgen path through run(): the
-// report folds into the artifact, a healthy report passes, a seeded
-// regression fails, and a corrupt report still writes the artifact.
-func TestLoadgenGateEndToEnd(t *testing.T) {
-	if runtime.NumCPU() < 4 {
-		t.Skipf("%d CPUs: the p99 enforcement path needs >= 4", runtime.NumCPU())
-	}
 	dir := t.TempDir()
-	benchPath := writeSample(t, dir)
-	repPath := writeLoadgenReport(t, dir, healthyReport())
-	outPath := filepath.Join(dir, "BENCH_lg.json")
-
-	g := gates{loadgenPath: repPath, maxP99Ms: 100, maxErrorRate: 0.01}
-	if err := run(benchPath, outPath, "lg", "", g); err != nil {
-		t.Fatalf("healthy loadgen report failed the gates: %v", err)
-	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
+	in, out := filepath.Join(dir, "bench.txt"), filepath.Join(dir, "BENCH_abc.json")
+	if err := os.WriteFile(in, []byte(bench), 0o644); err != nil {
 		t.Fatal(err)
+	}
+	var basePath, repPath string
+	if baseline != "" {
+		basePath = filepath.Join(dir, "baseline.json")
+		data, err := json.Marshal(Artifact{Sha: "baseline", Benchmarks: mustParse(t, baseline)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(basePath, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if rep != nil {
+		repPath = filepath.Join(dir, "loadgen.json")
+		if err := loadgen.WriteReport(repPath, *rep); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runErr := run(in, out, "abc", basePath, repPath, cpus)
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatalf("artifact not written (run: %v): %v", runErr, err)
 	}
 	var art Artifact
 	if err := json.Unmarshal(data, &art); err != nil {
 		t.Fatal(err)
 	}
-	if art.Loadgen == nil || art.Loadgen.LatencyMs.P99 != 40 || art.Loadgen.Requests != 200 {
-		t.Errorf("loadgen report not folded into the artifact: %+v", art.Loadgen)
+	return art, runErr
+}
+
+func result(t *testing.T, art Artifact, gate string) Result {
+	t.Helper()
+	for _, r := range art.Gates {
+		if r.Gate == gate {
+			return r
+		}
+	}
+	t.Fatalf("artifact has no %s row: %+v", gate, art.Gates)
+	return Result{}
+}
+
+// TestRegressionGate: a healthy run passes every row at 4 CPUs, and the
+// artifact records each evaluated row; a 100% engine regression fails.
+func TestRegressionGate(t *testing.T) {
+	art, err := guard(t, healthy, healthy, healthyReport(), 4)
+	if err != nil {
+		t.Fatalf("healthy run failed: %v", err)
+	}
+	if art.Sha != "abc" || art.Benchmarks["ColdPathUnitTest"].AllocsPerOp != 227 {
+		t.Errorf("artifact = sha %q, ColdPathUnitTest %+v", art.Sha, art.Benchmarks["ColdPathUnitTest"])
+	}
+	// 11 table rows, the allocation row expanded over 5 benchmarks.
+	if len(art.Gates) != 15 {
+		t.Errorf("artifact records %d gate rows, want 15: %+v", len(art.Gates), art.Gates)
+	}
+	for _, r := range art.Gates {
+		if r.Skipped != "" || r.Failed != "" {
+			t.Errorf("healthy run: %+v", r)
+		}
+	}
+	if r := result(t, art, "engine-vs-serial"); r.Value != 0.3 || r.Limit != 0.36 {
+		t.Errorf("engine-vs-serial = %+v", r)
 	}
 
-	// Seeded regression through the full run() path.
-	slow := healthyReport()
-	slow.LatencyMs.P99 = 250
-	g.loadgenPath = writeLoadgenReport(t, dir, slow)
-	if err := run(benchPath, "", "lg", "", g); err == nil {
-		t.Fatal("run() passed a seeded p99 regression")
+	fastEngine := edit(healthy, "BenchmarkZeroShotEngine", "BenchmarkZeroShotEngine-4 1 450000000 ns/op")
+	if _, err := guard(t, healthy, fastEngine, nil, 4); err == nil || !strings.Contains(err.Error(), "engine-vs-serial") {
+		t.Fatalf("a 100%% engine regression gave %v", err)
 	}
+}
 
-	// A corrupt report fails the run but never suppresses the artifact.
+// TestAllocGate: every failing allocation row is reported, not only the
+// first.
+func TestAllocGate(t *testing.T) {
+	if _, err := guard(t, healthy, healthy, nil, 2); err != nil {
+		t.Fatalf("alloc rows failed at parity: %v", err)
+	}
+	lean := edit(edit(healthy,
+		"BenchmarkColdPathUnitTest", "BenchmarkColdPathUnitTest-4 46807 25000 ns/op 13870 B/op 100 allocs/op"),
+		"BenchmarkColdPathCampaign", "BenchmarkColdPathCampaign-4 141 8220631 ns/op 3110758 B/op 20000 allocs/op")
+	_, err := guard(t, healthy, lean, nil, 2)
+	if err == nil {
+		t.Fatal("alloc rows passed two regressions")
+	}
+	for _, row := range []string{"allocs:ColdPathUnitTest", "allocs:ColdPathCampaign"} {
+		if !strings.Contains(err.Error(), row) {
+			t.Errorf("verdict does not name %s: %v", row, err)
+		}
+	}
+}
+
+// TestArtifactWrittenOnBadBaseline pins the CI contract: the
+// BENCH_<sha>.json artifact is written even when the baseline or the
+// loadgen report is missing or corrupt (the workflow uploads it with
+// `if: always()`), and the bad input still fails the run afterwards.
+func TestArtifactWrittenOnBadBaseline(t *testing.T) {
+	dir := t.TempDir()
+	benchPath := filepath.Join(dir, "bench.txt")
 	corrupt := filepath.Join(dir, "corrupt.json")
-	if err := os.WriteFile(corrupt, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
+	for path, data := range map[string]string{benchPath: healthy, corrupt: "{not json"} {
+		if err := os.WriteFile(path, []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	outPath2 := filepath.Join(dir, "BENCH_corrupt.json")
-	g.loadgenPath = corrupt
-	if err := run(benchPath, outPath2, "lg", "", g); err == nil {
-		t.Fatal("corrupt loadgen report did not fail the run")
-	}
-	if _, err := os.Stat(outPath2); err != nil {
-		t.Fatalf("artifact not written on corrupt loadgen report: %v", err)
+	for name, paths := range map[string][2]string{
+		"missing baseline": {filepath.Join(dir, "nope.json"), ""},
+		"corrupt baseline": {corrupt, ""},
+		"corrupt loadgen":  {"", corrupt},
+	} {
+		outPath := filepath.Join(dir, "BENCH_"+strings.ReplaceAll(name, " ", "_")+".json")
+		if err := run(benchPath, outPath, "bad", paths[0], paths[1], 4); err == nil {
+			t.Errorf("%s did not fail the run", name)
+		}
+		if _, err := os.Stat(outPath); err != nil {
+			t.Errorf("artifact not written on %s: %v", name, err)
+		}
 	}
 }
 
 func TestColdSpeedupGate(t *testing.T) {
-	dir := t.TempDir()
-	benchPath := writeSample(t, dir)
-
-	// Pre-PR cost 100000 ns, sample 25000 ns: 4x, passes a 2x gate.
-	pass := Artifact{ColdPrePRNs: 100000}
-	if err := run(benchPath, "", "abc", writeBaseline(t, dir, pass), gates{minColdSpeedup: 2}); err != nil {
-		t.Fatalf("cold gate failed a 4x speedup: %v", err)
+	slow := edit(healthy, "BenchmarkColdPathUnitTest", "BenchmarkColdPathUnitTest-4 46807 62383 ns/op 13870 B/op 227 allocs/op")
+	art, err := guard(t, slow, healthy, nil, 2)
+	if err == nil || !strings.Contains(err.Error(), "cold-unittest") {
+		t.Fatalf("a 1.6x cold path gave %v", err)
 	}
-
-	// Pre-PR cost 40000 ns: 1.6x only, fails a 2x gate.
-	fail := Artifact{ColdPrePRNs: 40000}
-	failPath := writeBaseline(t, dir, fail)
-	if err := run(benchPath, "", "abc", failPath, gates{minColdSpeedup: 2}); err == nil {
-		t.Fatal("cold gate passed a 1.6x speedup")
+	if r := result(t, art, "cold-unittest"); r.Value != 62383 || r.Limit != 49906 || r.Failed == "" {
+		t.Errorf("cold-unittest = %+v", r)
 	}
-	if err := run(benchPath, "", "abc", failPath, gates{}); err != nil {
-		t.Fatalf("disabled cold gate failed: %v", err)
-	}
+}
 
-	// A baseline without the cold record disables the gate even when
-	// the flag is set (pre-PR repositories).
-	empty := Artifact{Benchmarks: map[string]BenchResult{}}
-	if err := run(benchPath, "", "abc", writeBaseline(t, dir, empty), gates{minColdSpeedup: 2}); err != nil {
-		t.Fatalf("cold gate tripped without a baseline record: %v", err)
+func TestAllocCapGate(t *testing.T) {
+	fat := edit(healthy, "BenchmarkGenerateBatched", "BenchmarkGenerateBatched-4 50 11000000 ns/op 1 B/op 40000 allocs/op")
+	// The baseline records the same allocations, so only the fixed cap
+	// can catch this: it does not move with baseline re-records.
+	art, err := guard(t, fat, fat, nil, 2)
+	if err == nil || !strings.Contains(err.Error(), "generate-batched-allocs") {
+		t.Fatalf("40000 allocs/op against the 35500 cap gave %v", err)
+	}
+	if r := result(t, art, "generate-batched-allocs"); r.Limit != 35500 || r.Value != 40000 {
+		t.Errorf("generate-batched-allocs = %+v", r)
+	}
+	if r := result(t, art, "allocs:GenerateBatched"); r.Failed != "" {
+		t.Errorf("relative alloc row failed at parity: %+v", r)
+	}
+}
+
+func TestColdGetAllocCapGate(t *testing.T) {
+	fat := edit(healthy, "BenchmarkStoreColdGet", "BenchmarkStoreColdGet-4 200000 6500 ns/op 824 B/op 25 allocs/op")
+	art, err := guard(t, fat, fat, nil, 2)
+	if err == nil || !strings.Contains(err.Error(), "store-cold-get-allocs") {
+		t.Fatalf("25 allocs/op against the 24 cap gave %v", err)
+	}
+	if r := result(t, art, "store-cold-get-allocs"); r.Limit != 24 || r.Value != 25 {
+		t.Errorf("store-cold-get-allocs = %+v", r)
+	}
+}
+
+// TestOpenSpeedupGate: the measured speedup is recorded in the
+// artifact, and a toy fixture skips loudly instead of failing.
+func TestOpenSpeedupGate(t *testing.T) {
+	art, err := guard(t, healthy, healthy, nil, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := result(t, art, "snapshot-open"); r.Value != 4.4 || r.Limit != 3 || r.Skipped != "" {
+		t.Errorf("snapshot-open = %+v, want 4.4 against 3", r)
+	}
+	tiny := strings.ReplaceAll(edit(healthy, "BenchmarkStoreOpenSnapshot", "BenchmarkStoreOpenSnapshot-4 80 20000000 ns/op 5000 records-replayed"),
+		"5000 records-replayed", "100 records-replayed")
+	art, err = guard(t, tiny, healthy, nil, 4)
+	if err != nil {
+		t.Fatalf("a 100-record fixture failed instead of skipping: %v", err)
+	}
+	if r := result(t, art, "snapshot-open"); r.Skipped == "" {
+		t.Errorf("snapshot-open on a 100-record fixture = %+v, want skipped", r)
+	}
+}
+
+// TestPipelineOverlapInArtifact: the measured overlap folds into the
+// artifact whether the row is enforced or skipped.
+func TestPipelineOverlapInArtifact(t *testing.T) {
+	for _, cpus := range []int{2, 4} {
+		art, err := guard(t, healthy, healthy, nil, cpus)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := result(t, art, "pipeline-overlap")
+		if r.Value != 8 || (r.Skipped != "") != (cpus < 4) {
+			t.Errorf("%d CPUs: pipeline-overlap = %+v, want value 8, skipped only below 4 CPUs", cpus, r)
+		}
+	}
+}
+
+// TestLoadgenLatencyGate: the loadgen rows run with -loadgen alone, the
+// report folds into the artifact, and a seeded p99 regression fails at
+// 4 CPUs but skips loudly below.
+func TestLoadgenLatencyGate(t *testing.T) {
+	art, err := guard(t, sample, "", healthyReport(), 4)
+	if err != nil {
+		t.Fatalf("healthy loadgen report failed: %v", err)
+	}
+	if art.Loadgen == nil || art.Loadgen.LatencyMs.P99 != 40 || art.Loadgen.Requests != 200 {
+		t.Errorf("loadgen report not folded into the artifact: %+v", art.Loadgen)
+	}
+	if len(art.Gates) != 2 {
+		t.Errorf("without -baseline only the 2 loadgen rows run, got %+v", art.Gates)
+	}
+	slow := healthyReport()
+	slow.LatencyMs.P99 = 600
+	if _, err := guard(t, sample, "", slow, 4); err == nil {
+		t.Fatal("a 600ms p99 passed the 500ms cap")
+	}
+	art, err = guard(t, sample, "", slow, 2)
+	if err != nil {
+		t.Fatalf("p99 row did not skip on 2 CPUs: %v", err)
+	}
+	if r := result(t, art, "loadgen-p99-ms"); r.Skipped == "" || r.Value != 600 {
+		t.Errorf("loadgen-p99-ms on 2 CPUs = %+v", r)
+	}
+}
+
+// TestLoadgenErrorRateGate: a failing error rate names each error
+// class, so CI logs say what broke.
+func TestLoadgenErrorRateGate(t *testing.T) {
+	bad := healthyReport()
+	bad.ErrorRate = 0.05
+	bad.Errors = map[string]int{"rate_limited": 8, "http_500": 2}
+	_, err := guard(t, sample, "", bad, 2)
+	if err == nil {
+		t.Fatal("a 5% error rate passed the 1% cap")
+	}
+	if !strings.Contains(err.Error(), "http_500=2 rate_limited=8") {
+		t.Errorf("failure does not name the error classes: %v", err)
 	}
 }

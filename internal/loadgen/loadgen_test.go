@@ -9,7 +9,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
+	"cloudeval/client"
 	"cloudeval/internal/core"
 	"cloudeval/internal/dataset"
 	"cloudeval/internal/engine"
@@ -164,6 +166,25 @@ func TestRunAgainstServer(t *testing.T) {
 	}
 	if rep.Concurrency != 4 || rep.Target != ts.URL {
 		t.Errorf("report config echo = %+v", rep)
+	}
+
+	// The trace's campaigns keep writing under the server's temp dir
+	// after Run returns. Re-posting one returns its existing ID, so wait
+	// each out before cleanup removes the dir.
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	for _, op := range ops {
+		if op.Op != "campaign" {
+			continue
+		}
+		c := client.New(ts.URL, client.WithTenant(op.Tenant))
+		st, err := c.StartCampaign(ctx, op.Experiments)
+		if err != nil {
+			t.Fatalf("re-post campaign %v: %v", op.Experiments, err)
+		}
+		if _, err := c.WaitCampaign(ctx, st.ID, 10*time.Millisecond); err != nil {
+			t.Fatalf("wait campaign %s: %v", st.ID, err)
+		}
 	}
 }
 

@@ -110,7 +110,17 @@ type parser struct {
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+
+// next consumes one token but never moves past the final EOF token, so
+// a truncated script leaves peek and errf pointing at EOF.
+func (p *parser) next() token {
+	t := p.toks[p.pos]
+	if p.pos < len(p.toks)-1 {
+		p.pos++
+	}
+	return t
+}
+
 func (p *parser) errf(format string, args ...any) error {
 	return fmt.Errorf("shell: line %d: %s", p.peek().line, fmt.Sprintf(format, args...))
 }

@@ -423,6 +423,43 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestParseTruncatedCompound: a compound command cut off at any point
+// must fail, never panic from reading past the final EOF token. The
+// supported compounds fail to parse; case, brace groups, subshells and
+// functions are not shell syntax here, so their keyword runs as an
+// unknown command.
+func TestParseTruncatedCompound(t *testing.T) {
+	for _, tc := range []struct {
+		src      string
+		parseErr bool
+	}{
+		{`for`, true},
+		{`for x`, true},
+		{`for x in`, true},
+		{`while`, true},
+		{`if true; then`, true},
+		{`case`, false},
+		{`{`, false},
+		{`(`, false},
+		{`f() {`, false},
+	} {
+		t.Run(tc.src, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("%q panicked: %v", tc.src, r)
+				}
+			}()
+			if _, err := Parse(tc.src); (err != nil) != tc.parseErr {
+				t.Fatalf("Parse(%q) error = %v, want error: %v", tc.src, err, tc.parseErr)
+			}
+			res, err := New().Run(tc.src)
+			if err == nil && res.ExitCode == 0 {
+				t.Errorf("Run(%q) succeeded: %+v", tc.src, res)
+			}
+		})
+	}
+}
+
 func TestEnvPersistsAcrossRuns(t *testing.T) {
 	in := New()
 	if _, err := in.Run(`x=keep`); err != nil {
