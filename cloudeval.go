@@ -128,11 +128,6 @@ func OpenReplayProvider(path string) (Provider, error) { return inference.OpenRe
 // NewDispatcher builds the batched, cached front-end over a provider.
 func NewDispatcher(p Provider) *Dispatcher { return inference.NewDispatcher(p) }
 
-// NewWithProvider builds the default benchmark generating through the
-// given dispatcher (e.g. a replayed real-API trace) on the
-// process-wide engine.
-func NewWithProvider(d *Dispatcher) *Benchmark { return core.NewVia(engine.Default(), d) }
-
 // Dataset returns the original problems of every workload family (the
 // paper's 337 plus the Compose and Helm extensions).
 func Dataset() []Problem { return dataset.Generate() }
@@ -146,7 +141,8 @@ func RunUnitTest(p Problem, answerYAML string) UnitTestResult {
 	return unittest.Run(p, answerYAML)
 }
 
-// ScoreAnswer computes all six metrics for a candidate answer.
+// ScoreAnswer computes all six metrics for a candidate answer serially,
+// running the unit test in a fresh simulated cluster with no cache.
 func ScoreAnswer(p Problem, answerYAML string) ProblemScore {
 	return score.ScoreAnswer(p, answerYAML)
 }

@@ -191,10 +191,11 @@ func newBench(storePath string, cacheMB int, pf providerFlags) (*cloudeval.Bench
 		dopts = append(dopts, inference.WithGenStore(st))
 	}
 	disp := inference.NewDispatcher(prov, dopts...)
-	eng := engine.Default()
+	var eopts []engine.Option
 	if st != nil {
-		eng = engine.New(engine.WithStore(st))
+		eopts = append(eopts, engine.WithStore(st))
 	}
+	eng := engine.New(eopts...)
 	closer := func() error {
 		err := disp.Close()
 		if st != nil {

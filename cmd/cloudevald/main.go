@@ -57,6 +57,10 @@ import (
 	"cloudeval/internal/store"
 )
 
+// readHeaderTimeout bounds how long a client may take to send request
+// headers, so idle connections cannot pin server resources forever.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "cloudevald:", err)
@@ -180,7 +184,7 @@ func run() error {
 		handler = withPprof(handler)
 		fmt.Println("cloudevald: pprof enabled at /debug/pprof/ (mutex and block sampling on)")
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	httpSrv := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: readHeaderTimeout}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	fmt.Printf("cloudevald: listening on %s\n", *addr)

@@ -89,7 +89,7 @@ func main() {
 	}
 
 	// Compare with the Figure 5 analytic model for the same workload.
-	simJobs := evalcluster.JobsFromProblems(problems)
+	simJobs := evalcluster.JobsFromProblems(engine.New(), problems)
 	for _, w := range []int{1, 4} {
 		r := evalcluster.Simulate(simJobs, evalcluster.DefaultSimConfig(w, true))
 		fmt.Printf("Figure-5 model: %d worker(s), shared cache -> %.2f h of campaign time\n",

@@ -11,6 +11,8 @@ import (
 
 	"cloudeval/internal/analysis"
 	"cloudeval/internal/dataset"
+	"cloudeval/internal/engine"
+	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
 )
 
@@ -26,10 +28,12 @@ func main() {
 	}
 	fmt.Println()
 
+	eng := engine.New()
+	gen := inference.NewDispatcher(inference.NewSim(llm.Models))
 	series := map[string][]int{}
 	for _, name := range []string{"gpt-4", "gpt-3.5", "llama-2-70b-chat"} {
 		m, _ := llm.ByName(name)
-		s := analysis.PassAtK(m, problems, maxK, temperature)
+		s := analysis.PassAtKVia(eng, gen, m, problems, maxK, temperature)
 		series[name] = s
 		fmt.Printf("%-20s", name)
 		for _, v := range s {

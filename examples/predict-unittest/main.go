@@ -11,6 +11,8 @@ import (
 
 	"cloudeval/internal/boost"
 	"cloudeval/internal/dataset"
+	"cloudeval/internal/engine"
+	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
 	"cloudeval/internal/score"
 )
@@ -19,19 +21,21 @@ func main() {
 	problems := dataset.Generate()
 	fmt.Printf("scoring %d problems under %d models...\n\n", len(problems), len(llm.Models))
 
+	eng := engine.New()
+	gen := inference.NewDispatcher(inference.NewSim(llm.Models))
 	raw := map[string][]score.ProblemScore{}
 	for _, m := range llm.Models {
-		raw[m.Name] = score.EvaluateModel(m, problems, llm.GenOptions{})
+		raw[m.Name] = score.EvaluateModelVia(eng, gen, m, problems, llm.GenOptions{})
 	}
 
-	results, err := boost.LeaveOneModelOut(raw, boost.DefaultConfig())
+	results, err := boost.LeaveOneModelOut(eng, raw, boost.DefaultConfig())
 	if err != nil {
 		panic(err)
 	}
 	fmt.Println("(a) leave-one-model-out unit-test prediction")
 	fmt.Println(boost.FormatFigure9A(results))
 
-	imp, err := boost.GlobalImportance(raw, boost.DefaultConfig(), 400)
+	imp, err := boost.GlobalImportance(eng, raw, boost.DefaultConfig(), 400)
 	if err != nil {
 		panic(err)
 	}

@@ -14,7 +14,8 @@ import (
 )
 
 func main() {
-	problems := cloudeval.Dataset()
+	bench := cloudeval.New()
+	problems := bench.Originals
 	fmt.Printf("CloudEval-YAML: %d hand-written problems\n\n", len(problems))
 
 	// Pick the Figure 1-style RoleBinding problem and score a candidate.
@@ -35,7 +36,7 @@ func main() {
 
 	// Now run a simulated model over the first 30 problems.
 	model, _ := llm.ByName("gpt-4")
-	scores := score.EvaluateModel(model, problems[:30], llm.GenOptions{})
+	scores := score.EvaluateModelVia(bench.Engine(), bench.Generator(), model, problems[:30], llm.GenOptions{})
 	passed := 0
 	for _, sc := range scores {
 		if sc.UnitTest == 1 {

@@ -195,7 +195,7 @@ func (b *Benchmark) runCampaign(dir string, ids []string, w io.Writer, gen func(
 				// miss, dead endpoint) scores empty answers; it must
 				// fail the campaign here, not be checkpointed as
 				// complete and replayed as authoritative forever. The
-				// delta is over the dispatcher's process-wide counter,
+				// delta is over the dispatcher's shared error counter,
 				// so a concurrent failing campaign on the same
 				// benchmark can fail this one too — conservative: a
 				// clean retry succeeds, corrupt output never persists.

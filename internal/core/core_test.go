@@ -8,6 +8,7 @@ import (
 	"cloudeval/internal/analysis"
 	"cloudeval/internal/dataset"
 	"cloudeval/internal/engine"
+	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
 	"cloudeval/internal/store"
 )
@@ -49,7 +50,8 @@ func TestExtensionFamiliesFlowThroughPipelines(t *testing.T) {
 	}
 	defer st.Close()
 	eng := engine.New(engine.WithStore(st))
-	b := NewCustomWith(eng, subset, llm.Models[:2])
+	models := llm.Models[:2]
+	b := NewCustomVia(eng, inference.NewDispatcher(inference.NewSim(models)), subset, models)
 
 	// ZeroShot covers every variant of every extension problem.
 	_, raw := b.ZeroShot()
@@ -64,7 +66,7 @@ func TestExtensionFamiliesFlowThroughPipelines(t *testing.T) {
 	}
 
 	// pass@k sampling runs the same families through the engine.
-	passes := analysis.PassAtKWith(eng, b.Models[0], subset, 2, 0.75)
+	passes := analysis.PassAtKVia(eng, b.Generator(), b.Models[0], subset, 2, 0.75)
 	if len(passes) != 2 || passes[1] < passes[0] {
 		t.Errorf("pass@k shape broken: %v", passes)
 	}

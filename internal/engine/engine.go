@@ -228,20 +228,6 @@ func New(opts ...Option) *Engine {
 	return e
 }
 
-var (
-	defaultOnce sync.Once
-	defaultEng  *Engine
-)
-
-// Default returns the process-wide engine: in-process pool, shared
-// cache. Serial entry points (score.ScoreAnswer, score.EvaluateModel)
-// route through it so every campaign in a process shares one
-// memoization cache.
-func Default() *Engine {
-	defaultOnce.Do(func() { defaultEng = New() })
-	return defaultEng
-}
-
 // Workers reports the scheduler's parallelism.
 func (e *Engine) Workers() int { return e.workers }
 

@@ -337,8 +337,9 @@ func TestWarmStoreFullCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	gen := inference.NewDispatcher(inference.NewSim(llm.Models))
 	coldEng := engine.New(engine.WithStore(st))
-	coldRows, _ := score.BenchmarkWith(coldEng, llm.Models, full)
+	coldRows, _ := score.BenchmarkVia(coldEng, gen, llm.Models, full)
 	coldStats := coldEng.Stats()
 	if coldStats.Executed == 0 {
 		t.Fatal("cold campaign executed nothing")
@@ -356,7 +357,7 @@ func TestWarmStoreFullCampaign(t *testing.T) {
 	defer st2.Close()
 	exec := &countingExecutor{}
 	warmEng := engine.New(engine.WithExecutor(exec), engine.WithStore(st2))
-	warmRows, _ := score.BenchmarkWith(warmEng, llm.Models, full)
+	warmRows, _ := score.BenchmarkVia(warmEng, gen, llm.Models, full)
 
 	if got := exec.runs.Load(); got != 0 {
 		t.Errorf("warm campaign executed %d unit tests, want 0", got)

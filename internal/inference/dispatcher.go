@@ -142,21 +142,6 @@ func NewDispatcher(prov Provider, opts ...DispatchOption) *Dispatcher {
 	return d
 }
 
-var (
-	defaultOnce sync.Once
-	defaultDisp *Dispatcher
-)
-
-// Default returns the process-wide dispatcher: the sim provider over
-// the full Table 4 zoo with a shared generation cache. Entry points
-// that predate the provider layer (score.EvaluateModel,
-// strategy calls in older examples) route through it, so a process
-// shares one cache the way engine.Default shares one execution cache.
-func Default() *Dispatcher {
-	defaultOnce.Do(func() { defaultDisp = NewDispatcher(NewSim(llm.Models)) })
-	return defaultDisp
-}
-
 // Provider returns the dispatcher's provider.
 func (d *Dispatcher) Provider() Provider { return d.prov }
 

@@ -59,13 +59,6 @@ func (s ProblemScore) Metric(name string) float64 {
 	return 0
 }
 
-// ScoreAnswer computes all six metrics for a clean answer against a
-// problem, running the unit test through the process-wide default
-// engine (in-process pool with memoization).
-func ScoreAnswer(p dataset.Problem, answer string) ProblemScore {
-	return ScoreAnswerWith(engine.Default(), p, answer)
-}
-
 // refContext caches the per-reference artifacts every model evaluation
 // recomputed in the serial seed: the label-stripped reference text and
 // its BLEU n-gram statistics. A twelve-model campaign reuses each
@@ -110,10 +103,11 @@ func ScoreAnswerWith(eng *engine.Engine, p dataset.Problem, answer string) Probl
 	return s
 }
 
-// scoreAnswerSerial is the pre-engine path: the unit test runs directly
-// on the calling goroutine with no cache. Kept as the baseline the
-// engine is benchmarked and determinism-tested against.
-func scoreAnswerSerial(p dataset.Problem, answer string) ProblemScore {
+// ScoreAnswer computes all six metrics for a clean answer against a
+// problem serially, with no engine or cache: the unit test runs through
+// unittest.Run on the calling goroutine. It is the reference that
+// ScoreAnswerWith and the campaign paths are tested against.
+func ScoreAnswer(p dataset.Problem, answer string) ProblemScore {
 	cleanRef := yamlmatch.StripLabels(p.ReferenceYAML)
 	s := ProblemScore{
 		ProblemID:  p.ID,
@@ -140,19 +134,6 @@ func evalProblems(m llm.Model, problems []dataset.Problem) []dataset.Problem {
 		kept = append(kept, p)
 	}
 	return kept
-}
-
-// EvaluateModel runs a model over a problem set with the given
-// generation options through the default engine and the default
-// inference dispatcher (sim zoo).
-func EvaluateModel(m llm.Model, problems []dataset.Problem, opts llm.GenOptions) []ProblemScore {
-	return EvaluateModelWith(engine.Default(), m, problems, opts)
-}
-
-// EvaluateModelWith is EvaluateModelVia on the process-wide default
-// dispatcher.
-func EvaluateModelWith(eng *engine.Engine, m llm.Model, problems []dataset.Problem, opts llm.GenOptions) []ProblemScore {
-	return EvaluateModelVia(eng, inference.Default(), m, problems, opts)
 }
 
 // EvaluateModelVia streams every kept problem through the two-stage
@@ -191,7 +172,7 @@ func EvaluateModelSerial(m llm.Model, problems []dataset.Problem, opts llm.GenOp
 	out := make([]ProblemScore, 0, len(kept))
 	for _, p := range kept {
 		answer := llm.Postprocess(m.Generate(p, opts))
-		s := scoreAnswerSerial(p, answer)
+		s := ScoreAnswer(p, answer)
 		s.Model = m.Name
 		out = append(out, s)
 	}
@@ -254,20 +235,6 @@ func Aggregate(m llm.Model, scores []ProblemScore) ModelAggregate {
 	agg.KVWildcard /= n
 	agg.UnitTest /= n
 	return agg
-}
-
-// Benchmark runs the full zero-shot benchmark through the default
-// engine and inference dispatcher: every model over every problem,
-// returning rows sorted by unit-test score (Table 4) plus the raw
-// per-problem scores for downstream analysis.
-func Benchmark(models []llm.Model, problems []dataset.Problem) ([]ModelAggregate, map[string][]ProblemScore) {
-	return BenchmarkWith(engine.Default(), models, problems)
-}
-
-// BenchmarkWith is BenchmarkVia on the process-wide default
-// dispatcher.
-func BenchmarkWith(eng *engine.Engine, models []llm.Model, problems []dataset.Problem) ([]ModelAggregate, map[string][]ProblemScore) {
-	return BenchmarkVia(eng, inference.Default(), models, problems)
 }
 
 // BenchmarkVia flattens the campaign into one job per (model, problem)

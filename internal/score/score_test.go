@@ -7,8 +7,17 @@ import (
 
 	"cloudeval/internal/augment"
 	"cloudeval/internal/dataset"
+	"cloudeval/internal/engine"
+	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
 	"cloudeval/internal/yamlmatch"
+)
+
+// testEng and testGen are shared by this package's campaign tests, so
+// the second full Table 4 campaign in one test binary runs warm.
+var (
+	testEng = engine.New()
+	testGen = inference.NewDispatcher(inference.NewSim(llm.Models))
 )
 
 func fullCorpus() []dataset.Problem {
@@ -41,6 +50,28 @@ func TestScoreAnswerGarbage(t *testing.T) {
 	}
 }
 
+// TestScoreAnswerMatchesEngineOnSampledAnswers: the serial reference
+// ScoreAnswer and the engine path ScoreAnswerWith agree field for field
+// on temperature-sampled answers, which TestParallelMatchesSerialTable4's
+// greedy zero-shot campaign never produces.
+func TestScoreAnswerMatchesEngineOnSampledAnswers(t *testing.T) {
+	eng := engine.New()
+	corpus := fullCorpus()
+	for _, name := range []string{"gpt-4", "gpt-3.5", "llama-2-7b-chat"} {
+		m, _ := llm.ByName(name)
+		for i := 0; i < len(corpus); i += 7 {
+			p := corpus[i]
+			for sample := 1; sample <= 3; sample++ {
+				answer := testGen.Answer(m, p, llm.GenOptions{Sample: sample, Temperature: 0.75})
+				want, got := ScoreAnswer(p, answer), ScoreAnswerWith(eng, p, answer)
+				if got != want {
+					t.Fatalf("%s %s sample %d:\nScoreAnswerWith %+v\nScoreAnswer     %+v", name, p.ID, sample, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestMetricAccessors(t *testing.T) {
 	s := ProblemScore{BLEU: 1, EditDist: 2, ExactMatch: 3, KVExact: 4, KVWildcard: 5, UnitTest: 6}
 	for i, name := range Metrics {
@@ -57,7 +88,7 @@ func TestTable4Calibration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full benchmark in -short mode")
 	}
-	rows, _ := Benchmark(llm.Models, fullCorpus())
+	rows, _ := BenchmarkVia(testEng, testGen, llm.Models, fullCorpus())
 	byName := map[string]ModelAggregate{}
 	for _, r := range rows {
 		byName[r.Model] = r

@@ -10,7 +10,7 @@ import (
 //
 //	{"error": {"code": "rate_limited", "message": "..."}}
 //
-// The HTTP status carries the class (400/404/429/500/502), the code a
+// The HTTP status carries the class (400/404/413/429/500/502), the code a
 // machine-readable cause within it, and the message the human detail.
 // Handlers never call http.Error directly — the envelope is the wire
 // contract the typed client (cloudeval/client) decodes.
@@ -20,6 +20,7 @@ const (
 	codeBadRequest    = "bad_request"
 	codeInvalidTenant = "invalid_tenant"
 	codeNotFound      = "not_found"
+	codeTooLarge      = "request_too_large"
 	codeRateLimited   = "rate_limited"
 	codeQueueFull     = "campaign_queue_full"
 	codeBadGateway    = "bad_gateway"

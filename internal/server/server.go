@@ -44,6 +44,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"os"
@@ -438,6 +439,27 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// maxBodyBytes caps a POST body; eval and campaign requests are far
+// smaller, so a larger body is refused before it is buffered.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, answering 413 past
+// maxBodyBytes and 400 for malformed JSON; it reports success.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, codeTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", maxBodyBytes))
+	default:
+		writeError(w, http.StatusBadRequest, codeBadRequest, "bad request: "+err.Error())
+	}
+	return false
+}
+
 // evalRequest scores one problem: either a literal candidate answer,
 // or the named zoo model's generated answer. Exactly one of Answer and
 // Model must be set.
@@ -463,8 +485,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req evalRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "bad request: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	p, ok := s.problems[req.Problem]
@@ -550,8 +571,7 @@ func (s *Server) handleCampaignStart(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req campaignRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "bad request: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	ids := req.Experiments

@@ -24,7 +24,8 @@ import (
 )
 
 func smallBench(eng *engine.Engine) *core.Benchmark {
-	return core.NewCustomWith(eng, dataset.Generate()[:10], llm.Models[:3])
+	models := llm.Models[:3]
+	return core.NewCustomVia(eng, inference.NewDispatcher(inference.NewSim(models)), dataset.Generate()[:10], models)
 }
 
 func newTestServer(t *testing.T, bench *core.Benchmark) *httptest.Server {
@@ -89,6 +90,20 @@ func TestEvalEndpoint(t *testing.T) {
 // TestLeaderboardByteIdentical: /v1/leaderboard must render exactly
 // core.Benchmark's Table 4, including under concurrent (coalesced)
 // requests.
+// TestOversizedBodyRejected: a POST body over the 1 MiB cap is refused
+// with 413 in the shared error envelope instead of being buffered.
+func TestOversizedBodyRejected(t *testing.T) {
+	ctx := context.Background()
+	bench := smallBench(engine.New())
+	c := newTestClient(t, bench)
+	huge := strings.Repeat("a", 2<<20)
+
+	_, err := c.Eval(ctx, client.EvalRequest{Problem: bench.Originals[0].ID, Answer: huge})
+	apiErr(t, err, http.StatusRequestEntityTooLarge, "request_too_large")
+	_, err = c.StartCampaign(ctx, []string{huge})
+	apiErr(t, err, http.StatusRequestEntityTooLarge, "request_too_large")
+}
+
 func TestLeaderboardByteIdentical(t *testing.T) {
 	bench := smallBench(engine.New())
 	c := newTestClient(t, bench)
@@ -131,7 +146,8 @@ func TestFamilyLeaderboardEndpoint(t *testing.T) {
 			subset = append(subset, p)
 		}
 	}
-	bench := core.NewCustomWith(engine.New(), subset, llm.Models[:2])
+	models := llm.Models[:2]
+	bench := core.NewCustomVia(engine.New(), inference.NewDispatcher(inference.NewSim(models)), subset, models)
 	c := newTestClient(t, bench)
 	body, err := c.FamilyLeaderboard(context.Background())
 	if err != nil {

@@ -77,6 +77,7 @@ func (in *Interp) expandParts(raw string) ([]wordPart, error) {
 				curQuoted = false
 				i += 2
 			} else {
+				cur.WriteByte('\\')
 				i++
 			}
 		case '$':

@@ -222,7 +222,9 @@ func (l *lexer) lexWord() error {
 				return err
 			}
 		case '\\':
-			l.pos += 2
+			// A backslash at the end of the input escapes nothing and
+			// stays in the word as a literal, as in bash.
+			l.pos = min(l.pos+2, len(l.src))
 		case '$':
 			if err := l.scanDollar(); err != nil {
 				return err

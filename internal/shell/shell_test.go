@@ -460,6 +460,17 @@ func TestParseTruncatedCompound(t *testing.T) {
 	}
 }
 
+// TestTrailingBackslashIsLiteral: a backslash at the end of the
+// script escapes nothing, so it stays a literal character as in bash.
+func TestTrailingBackslashIsLiteral(t *testing.T) {
+	if got := run(t, `echo \`).Stdout; got != "\\\n" {
+		t.Errorf("echo \\ printed %q, want %q", got, "\\\n")
+	}
+	if res := run(t, `\`); res.ExitCode != 127 {
+		t.Errorf("bare backslash exit = %d, want 127", res.ExitCode)
+	}
+}
+
 func TestEnvPersistsAcrossRuns(t *testing.T) {
 	in := New()
 	if _, err := in.Run(`x=keep`); err != nil {
