@@ -21,7 +21,6 @@ package engine
 
 import (
 	"crypto/sha256"
-	"encoding/binary"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -156,10 +155,17 @@ type cacheKey struct {
 	answer [sha256.Size]byte
 }
 
+// cacheEntries caps the execution cache. Answers arrive from request
+// bodies and sampled generations, so a long-lived daemon would
+// otherwise grow the cache without bound; 1<<18 is about six times the
+// largest campaign (pass@k sampling over the 1131-problem corpus,
+// 43,223 generations), so campaigns never reach it.
+const cacheEntries = 1 << 18
+
 // shardOf maps a key to a shard by the leading bytes of its digests —
 // uniformly distributed by construction, so shards stay balanced.
 func shardOf(k cacheKey) uint32 {
-	return binary.LittleEndian.Uint32(k.test[:4]) ^ binary.LittleEndian.Uint32(k.answer[:4])
+	return memo.HashDigest(k.test) ^ memo.HashDigest(k.answer)
 }
 
 // digests memoizes content → SHA-256 so a campaign hashes each unit
@@ -169,10 +175,11 @@ func shardOf(k cacheKey) uint32 {
 // strings already held by the campaign, so the cache adds counters
 // and headers, not text copies. The cap bounds a long-lived daemon
 // fed unbounded generated answers.
-var digests = memo.New[string, [sha256.Size]byte](1 << 16)
+var digests = memo.NewSharded[string, [sha256.Size]byte](memo.HashString, 1<<16)
 
 func digestOf(s string) [sha256.Size]byte {
-	return digests.Do(s, func() [sha256.Size]byte { return sha256.Sum256([]byte(s)) })
+	d, _, _ := digests.Do(s, func() ([sha256.Size]byte, error) { return sha256.Sum256([]byte(s)), nil })
+	return d
 }
 
 // WarmDigests primes the digest cache with every problem's unit-test
@@ -220,7 +227,7 @@ func New(opts ...Option) *Engine {
 	e := &Engine{
 		exec:    PoolExecutor{},
 		workers: runtime.GOMAXPROCS(0),
-		cache:   memo.NewSharded[cacheKey, unittest.Result](shardOf),
+		cache:   memo.NewSharded[cacheKey, unittest.Result](shardOf, cacheEntries),
 	}
 	for _, o := range opts {
 		o(e)

@@ -62,9 +62,9 @@ type Endpoint struct {
 // it matters because every "envoy -c file" in a unit-test script
 // re-loads the same config on the cold evaluation path.
 func LoadCached(src string) (*Bootstrap, error) {
-	o := bootCache.Do(sha256.Sum256([]byte(src)), func() *bootOutcome {
+	o, _, _ := bootCache.Do(sha256.Sum256([]byte(src)), func() (*bootOutcome, error) {
 		boot, err := Load(src)
-		return &bootOutcome{boot: boot, err: err}
+		return &bootOutcome{boot: boot, err: err}, nil
 	})
 	return o.boot, o.err
 }
@@ -76,7 +76,7 @@ type bootOutcome struct {
 
 // Bootstrap texts come from answer files, so the cache is capped like
 // the yamlx document cache.
-var bootCache = memo.New[[sha256.Size]byte, *bootOutcome](1 << 14)
+var bootCache = memo.NewSharded[[sha256.Size]byte, *bootOutcome](memo.HashDigest, 1<<14)
 
 // Load parses and validates a bootstrap config from YAML text.
 func Load(src string) (*Bootstrap, error) {

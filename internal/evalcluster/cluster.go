@@ -186,7 +186,7 @@ func (w *Worker) execute(job WireJob) WireResult {
 	res := WireResult{ID: job.ID, ProblemID: job.ProblemID, Worker: w.Name}
 	p, ok := w.lookup[job.ProblemID]
 	if !ok {
-		res.Output = "unknown problem " + job.ProblemID
+		res.Error = "unknown problem " + job.ProblemID
 		return res
 	}
 	var testDigest, answerDigest [sha256.Size]byte
@@ -204,6 +204,11 @@ func (w *Worker) execute(job WireJob) WireResult {
 		}
 	}
 	r := unittest.Run(p, job.Answer)
+	if r.Err != nil {
+		// Errored runs are never cached, here or by the engine.
+		res.Error = r.Err.Error()
+		return res
+	}
 	if w.store != nil {
 		w.store.Put(testDigest, answerDigest, r)
 	}

@@ -1,6 +1,7 @@
 package evalcluster
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"cloudeval/internal/engine"
 	"cloudeval/internal/miniredis"
 	"cloudeval/internal/store"
+	"cloudeval/internal/unittest"
 	"cloudeval/internal/yamlmatch"
 )
 
@@ -111,12 +113,19 @@ func TestMasterWorkerOverTCP(t *testing.T) {
 		}
 	}
 
+	// Each worker's first claimed job waits until a second worker has
+	// claimed one too, so one fast worker cannot drain the whole queue
+	// before the others are scheduled. A queue that serialized claims
+	// would leave the first worker waiting out the rendezvous timeout
+	// and the participation check below would fail.
+	meet := &rendezvous{want: 2, ready: make(chan struct{})}
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		w, err := NewWorker(addr, fmt.Sprintf("worker-%d", i), problems)
 		if err != nil {
 			t.Fatal(err)
 		}
+		w.UseStore(rendezvousStore{name: w.Name, meet: meet})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -149,6 +158,47 @@ func TestMasterWorkerOverTCP(t *testing.T) {
 		t.Errorf("queue not drained: %d left", n)
 	}
 }
+
+// rendezvous opens once want distinct workers have arrived.
+type rendezvous struct {
+	want  int
+	mu    sync.Mutex
+	seen  map[string]bool
+	ready chan struct{}
+}
+
+// arrive records name and waits (up to 10 s) for the rendezvous to open.
+func (r *rendezvous) arrive(name string) {
+	r.mu.Lock()
+	if r.seen == nil {
+		r.seen = map[string]bool{}
+	}
+	if !r.seen[name] {
+		r.seen[name] = true
+		if len(r.seen) == r.want {
+			close(r.ready)
+		}
+	}
+	r.mu.Unlock()
+	select {
+	case <-r.ready:
+	case <-time.After(10 * time.Second):
+	}
+}
+
+// rendezvousStore is an always-missing CacheStore whose lookups hold
+// a worker at the rendezvous before it executes its job.
+type rendezvousStore struct {
+	name string
+	meet *rendezvous
+}
+
+func (s rendezvousStore) Get(test, answer [sha256.Size]byte) (unittest.Result, bool) {
+	s.meet.arrive(s.name)
+	return unittest.Result{}, false
+}
+
+func (rendezvousStore) Put(test, answer [sha256.Size]byte, res unittest.Result) {}
 
 // TestWorkerConsultsStore: a fleet worker backed by a persistent store
 // executes each distinct (problem, answer) once; repeated jobs — even
@@ -220,5 +270,65 @@ func TestWorkerConsultsStore(t *testing.T) {
 		if !r.Passed || !r.CacheHit {
 			t.Errorf("restarted worker result = %+v, want a passing store hit", r)
 		}
+	}
+}
+
+// TestClusterErrorsNeverCached: a job the worker cannot run (its corpus
+// lacks the problem) comes back to the engine as an errored result, so
+// neither the engine's memo nor its persistent store keeps it — the
+// same rule PoolExecutor runs follow.
+func TestClusterErrorsNeverCached(t *testing.T) {
+	srv := miniredis.NewServer()
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	problems := dataset.Generate()[:4]
+	w, err := NewWorker(addr, "partial-worker", problems[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	stop, stopped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if _, err := w.Run(100 * time.Millisecond); err != nil {
+				return
+			}
+		}
+	}()
+	defer func() { close(stop); <-stopped }()
+
+	exec, err := NewClusterExecutor(addr, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := store.Open(filepath.Join(t.TempDir(), "eval.store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	eng := engine.New(engine.WithExecutor(exec), engine.WithStore(st), engine.WithWorkers(1))
+	defer eng.Close()
+
+	answer := yamlmatch.StripLabels(problems[0].ReferenceYAML)
+	for i := 0; i < 2; i++ {
+		if res := eng.UnitTest(problems[0], answer); res.Err == nil {
+			t.Fatalf("call %d: want an error for a problem the worker lacks, got %+v", i, res)
+		}
+	}
+	if got := eng.Stats().Executed; got != 2 {
+		t.Errorf("Executed = %d, want 2 (errored result must not be memoized)", got)
+	}
+	if got := st.Len(); got != 0 {
+		t.Errorf("store.Len = %d, want 0 (errored result must not be persisted)", got)
 	}
 }

@@ -68,7 +68,9 @@ func (e *ClusterExecutor) Name() string { return "cluster" }
 // RunUnitTest implements engine.Executor: the unit test executes on
 // whichever cluster worker claims the job. Problem bodies stay with the
 // workers (as in the paper); only the ID and answer cross the wire.
-// Missing workers or timeouts surface through the result's Err field.
+// Missing workers, timeouts and worker-side errors (an unknown problem,
+// a script that fails to parse) surface through the result's Err
+// field, so the engine never caches them.
 func (e *ClusterExecutor) RunUnitTest(p dataset.Problem, answer string) unittest.Result {
 	id := fmt.Sprintf("xjob-%d", e.nextID.Add(1))
 	ch := make(chan engine.Result, 1)
@@ -86,6 +88,9 @@ func (e *ClusterExecutor) RunUnitTest(p dataset.Problem, answer string) unittest
 	}
 	select {
 	case res := <-ch:
+		if res.Error != "" {
+			return unittest.Result{Err: fmt.Errorf("evalcluster: %s: %s", res.Worker, res.Error)}
+		}
 		return unittest.Result{
 			Passed:      res.Passed,
 			Output:      res.Output,

@@ -2,7 +2,6 @@ package inference
 
 import (
 	"context"
-	"encoding/binary"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -125,13 +124,18 @@ func WithGenStore(s GenStore) DispatchOption { return func(d *Dispatcher) { d.st
 // dispatch path).
 func WithoutGenCache() DispatchOption { return func(d *Dispatcher) { d.noCache = true } }
 
+// cacheEntries caps the generation cache, like the engine's execution
+// cache: about six times the largest campaign's generations, so only a
+// long-lived daemon sampling without end ever fills it.
+const cacheEntries = 1 << 18
+
 // NewDispatcher builds a dispatcher over prov. The live-call limit
 // defaults per provider (DefaultConcurrency); WithConcurrency
 // overrides it.
 func NewDispatcher(prov Provider, opts ...DispatchOption) *Dispatcher {
 	d := &Dispatcher{
 		prov:  prov,
-		cache: memo.NewSharded[Key, Response](keyShard),
+		cache: memo.NewSharded[Key, Response](memo.HashDigest[Key], cacheEntries),
 	}
 	if n := DefaultConcurrency(prov); n > 0 {
 		d.sem = make(chan struct{}, n)
@@ -198,10 +202,6 @@ func (d *Dispatcher) Generate(ctx context.Context, req Request) (Response, error
 	}
 	return resp, err
 }
-
-// keyShard maps a content-addressed key to a shard by its leading
-// bytes — uniformly distributed by construction.
-func keyShard(k Key) uint32 { return binary.LittleEndian.Uint32(k[:4]) }
 
 func (d *Dispatcher) generate(ctx context.Context, req Request) (Response, error) {
 	if d.noCache {

@@ -42,7 +42,13 @@ type promptInfo struct {
 // prompts tens of thousands of times. The cap bounds a long-lived
 // daemon fed adversarial distinct prompts; a full cache degrades to
 // computing fresh, never to unbounded memory.
-var promptInfos = memo.New[promptKey, promptInfo](1 << 14)
+var promptInfos = memo.NewSharded[promptKey, promptInfo](promptHash, 1<<14)
+
+// promptHash mixes the FNV-1a hashes of the key's variable fields; the
+// hint and shot count take few values and add nothing to the spread.
+func promptHash(k promptKey) uint32 {
+	return memo.HashString(k.question) ^ memo.HashString(k.context)*16777619
+}
 
 // promptBufs pools the scratch buffers prompts render into on a
 // promptInfos miss — the only time a prompt is materialized outside a
@@ -82,7 +88,7 @@ func promptInfoFor(p dataset.Problem, shots int) promptInfo {
 		context:  p.ContextYAML,
 		shots:    shots,
 	}
-	return promptInfos.Do(key, func() promptInfo {
+	info, _, _ := promptInfos.Do(key, func() (promptInfo, error) {
 		buf := promptBufs.Get().(*bytes.Buffer)
 		buf.Reset()
 		prompt.Write(buf, p, shots)
@@ -91,6 +97,7 @@ func promptInfoFor(p dataset.Problem, shots int) promptInfo {
 			tokens: textmetrics.EstimateTokens(buf.String()),
 		}
 		promptBufs.Put(buf)
-		return info
+		return info, nil
 	})
+	return info
 }

@@ -160,9 +160,9 @@ func collectRecursive(n *yamlx.Node, name string, out *[]*yamlx.Node) {
 // Expressions come from script text, so the cache is capped (see the
 // memo package).
 func parseStepsCached(expr string) ([]step, error) {
-	o := stepCache.Do(expr, func() *stepsOutcome {
+	o, _, _ := stepCache.Do(expr, func() (*stepsOutcome, error) {
 		steps, err := parseSteps(expr)
-		return &stepsOutcome{steps: steps, err: err}
+		return &stepsOutcome{steps: steps, err: err}, nil
 	})
 	return o.steps, o.err
 }
@@ -172,7 +172,7 @@ type stepsOutcome struct {
 	err   error
 }
 
-var stepCache = memo.New[string, *stepsOutcome](1 << 14)
+var stepCache = memo.NewSharded[string, *stepsOutcome](memo.HashString, 1<<14)
 
 func parseSteps(expr string) ([]step, error) {
 	var steps []step

@@ -131,10 +131,11 @@ func CanonicalKind(kind string) string { return kindKey(kind) }
 // usually a small fixed vocabulary, but kind: values parsed out of
 // model-generated answers can be arbitrary, hence the capped cache.
 func kindKey(kind string) string {
-	return kindKeyCache.Do(kind, func() string { return kindKeySlow(kind) })
+	k, _, _ := kindKeyCache.Do(kind, func() (string, error) { return kindKeySlow(kind), nil })
+	return k
 }
 
-var kindKeyCache = memo.New[string, string](1 << 12)
+var kindKeyCache = memo.NewSharded[string, string](memo.HashString, 1<<12)
 
 func kindKeySlow(kind string) string {
 	k := strings.ToLower(strings.TrimSpace(kind))

@@ -1,18 +1,17 @@
 package memo
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
 
 // Bounded is a byte-budgeted sharded LRU cache: the hot tier in front
 // of an out-of-core structure (the persistent store's on-demand frame
-// reads). Where Sharded grows without limit — correct for indexes
-// whose size is bounded by the corpus — Bounded holds resident memory
-// under a fixed byte budget regardless of how much passes through it:
-// every entry carries a caller-supplied cost, and inserting past the
-// budget evicts least-recently-used entries until the new one fits.
+// reads). Where Sharded caps its entry count and stops storing once
+// full, Bounded holds resident memory under a fixed byte budget
+// regardless of how much passes through it: every entry carries a
+// caller-supplied cost, and inserting past the budget evicts
+// least-recently-used entries until the new one fits.
 //
 // The budget is divided evenly across the shards, so eviction never
 // takes a global lock: a hot key in one shard cannot pin memory
@@ -51,22 +50,13 @@ type boundedShard[K comparable, V any] struct {
 }
 
 // NewBounded builds a bounded LRU cache keyed by hash, holding at most
-// capBytes of entry cost. The shard count matches NewSharded's policy
+// capBytes of entry cost. The shard count follows the package policy
 // (power of two scaled to GOMAXPROCS, in [8, 512]); capBytes splits
 // evenly across shards. A capBytes below the shard count still grants
 // each shard one byte, degenerating to a cache that admits nothing —
 // legal, and useful for forcing the uncached path in benchmarks.
 func NewBounded[K comparable, V any](hash func(K) uint32, capBytes int64) *Bounded[K, V] {
-	n := 1
-	for n < 4*runtime.GOMAXPROCS(0) {
-		n <<= 1
-	}
-	if n < 8 {
-		n = 8
-	}
-	if n > 512 {
-		n = 512
-	}
+	n := shardCount()
 	per := capBytes / int64(n)
 	if per < 1 {
 		per = 1

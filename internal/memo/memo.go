@@ -3,103 +3,52 @@
 //
 // Two shapes ship:
 //
-//   - Cache, a capped lock-free map for cheap pure computations (shell
-//     ASTs, yamlx documents, envoy bootstraps, jsonpath programs, kind
-//     spellings, content digests). Each cache maps an immutable key —
-//     usually a content digest or the content itself — to an immutable
-//     outcome computed exactly once.
-//   - Sharded, a sharded singleflight cache for expensive fallible
-//     computations (unit-test executions, provider generations), where
-//     a single mutex would serialize a fleet-concurrency campaign.
+//   - Sharded, a capped sharded singleflight memoizer behind every
+//     in-process memo table: the engine's unit-test executions, the
+//     dispatcher's provider generations, and the process-global parse
+//     and digest caches (shell ASTs, yamlx documents, envoy
+//     bootstraps, jsonpath programs, kind spellings, content and
+//     prompt digests). Each maps an immutable key — usually a content
+//     digest or the content itself — to an immutable outcome computed
+//     once.
+//   - Bounded, a byte-budgeted sharded LRU: the hot tier in front of
+//     the persistent store's on-demand frame reads.
 //
-// Entry count in Cache is capped: several of these caches are fed by
-// model-generated text (candidate answers, corrupted kinds), which in
-// a long-lived cloudevald daemon sampling at nonzero temperature is
-// unbounded. A full cache keeps serving hits for what it already
-// holds and computes everything else fresh — performance degrades to
-// the uncached path, memory does not grow.
+// Every Sharded cache has an entry cap: most of them are fed by
+// model-generated text or request bodies (candidate answers, sampled
+// generations, corrupted kinds), which in a long-lived cloudevald
+// daemon is unbounded. A full cache keeps serving hits for what it
+// already holds and computes everything else fresh — performance
+// degrades to the uncached path, memory does not grow.
 package memo
 
 import (
-	"sync"
-	"sync/atomic"
+	"encoding/binary"
+	"runtime"
 )
 
-// Cache memoizes key → value with a best-effort entry cap. The zero
-// value is not usable; construct with New. Values must be immutable
-// (or never mutated by callers), since they are shared across
-// goroutines.
-type Cache[K comparable, V any] struct {
-	m   sync.Map
-	n   atomic.Int64
-	max int64
-}
-
-// New returns a cache bounded to roughly max entries. The bound is
-// precise up to concurrency: Len never exceeds max + (P − 1), where P
-// is the peak number of goroutines concurrently inside Do — each can
-// pass the capacity check at most once before the counter catches up,
-// so with P workers the cache holds at most max + P − 1 entries, ever.
-// The overshoot is bounded by worker count, not by traffic.
-func New[K comparable, V any](max int64) *Cache[K, V] {
-	return &Cache[K, V]{max: max}
-}
-
-// inflight is a pending or completed computation parked in the map
-// while fn runs. Once fn returns, the entry is replaced by the bare
-// value, so the steady-state hit path pays no channel synchronization.
-type inflight[V any] struct {
-	done chan struct{}
-	v    V
-}
-
-// Do returns the cached value for key, computing and (capacity
-// permitting) storing it via fn on a miss. Concurrent misses on the
-// same key collapse into a single fn call: the first caller computes,
-// the rest park on the in-flight entry and share its result — fn runs
-// exactly once per stored key. fn must return (a panicking fn poisons
-// its own call but unparks waiters to recompute) and must be
-// deterministic for a given key, which content-addressed keys
-// guarantee.
-func (c *Cache[K, V]) Do(key K, fn func() V) V {
-	for {
-		if raw, ok := c.m.Load(key); ok {
-			if fl, ok := raw.(*inflight[V]); ok {
-				// Park on the winner. Closing done happens after the
-				// winner's Store (or its panic-path Delete), so the
-				// reload on the next pass sees the bare value, a fresh
-				// entry, or a miss — never this same entry again.
-				<-fl.done
-				continue
-			}
-			return raw.(V)
-		}
-		if c.n.Load() >= c.max {
-			// Full: serve what is cached, compute the rest fresh.
-			return fn()
-		}
-		fl := &inflight[V]{done: make(chan struct{})}
-		if _, loaded := c.m.LoadOrStore(key, fl); loaded {
-			continue // lost the race; park on the winner's entry
-		}
-		committed := false
-		defer func() {
-			if !committed {
-				// fn panicked: drop the entry so future calls retry, and
-				// unpark waiters (they reload, miss, and recompute).
-				c.m.Delete(key)
-				close(fl.done)
-			}
-		}()
-		v := fn()
-		committed = true
-		c.m.Store(key, v) // replace the inflight entry with the bare value
-		c.n.Add(1)
-		close(fl.done)
-		return v
+// shardCount is the shard policy both memoizers share: the smallest
+// power of two at least four times GOMAXPROCS, clamped to [8, 512],
+// fixed at construction.
+func shardCount() int {
+	n := 8
+	for n < 4*runtime.GOMAXPROCS(0) && n < 512 {
+		n <<= 1
 	}
+	return n
 }
 
-// Len reports the number of cached entries. It can exceed max by at
-// most P − 1 for P concurrent inserters; see New.
-func (c *Cache[K, V]) Len() int64 { return c.n.Load() }
+// HashString is the shard hash for string keys: 32-bit FNV-1a.
+func HashString(s string) uint32 {
+	var h uint32 = 2166136261
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * 16777619
+	}
+	return h
+}
+
+// HashDigest is the shard hash for content-digest keys: the digest's
+// leading four bytes, uniformly distributed by construction.
+func HashDigest[K ~[32]byte](k K) uint32 {
+	return binary.LittleEndian.Uint32(k[:4])
+}

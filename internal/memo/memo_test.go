@@ -7,12 +7,14 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
-// TestDoSingleflight: concurrent misses on one key run fn exactly once;
-// every caller observes the winner's value.
+// TestDoSingleflight: concurrent misses on one key run fn exactly
+// once, even when that key takes the cache's last free slot; every
+// caller observes the winner's value.
 func TestDoSingleflight(t *testing.T) {
-	c := New[string, int](100)
+	c := NewSharded[string, int](HashString, 1)
 	var calls atomic.Int64
 	gate := make(chan struct{})
 	const workers = 32
@@ -23,10 +25,14 @@ func TestDoSingleflight(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-gate
-			results[i] = c.Do("k", func() int {
+			v, err, _ := c.Do("k", func() (int, error) {
 				calls.Add(1)
-				return 42
+				return 42, nil
 			})
+			if err != nil {
+				t.Errorf("caller %d: err = %v", i, err)
+			}
+			results[i] = v
 		}(i)
 	}
 	close(gate)
@@ -47,10 +53,10 @@ func TestDoSingleflight(t *testing.T) {
 // TestDoFullCacheComputesFresh: a full cache serves existing hits and
 // computes everything else without storing.
 func TestDoFullCacheComputesFresh(t *testing.T) {
-	c := New[int, int](2)
+	c := NewSharded[int, int](intHash, 2)
 	for i := 0; i < 10; i++ {
-		if got := c.Do(i, func() int { return i * i }); got != i*i {
-			t.Fatalf("Do(%d) = %d", i, got)
+		if got, err, hit := c.Do(i, func() (int, error) { return i * i, nil }); got != i*i || err != nil || hit {
+			t.Fatalf("Do(%d) = %d, %v, hit=%v", i, got, err, hit)
 		}
 	}
 	if c.Len() != 2 {
@@ -58,8 +64,16 @@ func TestDoFullCacheComputesFresh(t *testing.T) {
 	}
 	// Stored keys still hit without recomputing.
 	var called bool
-	if got := c.Do(0, func() int { called = true; return -1 }); got != 0 || called {
-		t.Errorf("full cache missed a stored key: got %d, called=%v", got, called)
+	if got, _, hit := c.Do(0, func() (int, error) { called = true; return -1, nil }); got != 0 || !hit || called {
+		t.Errorf("full cache missed a stored key: got %d, hit=%v, called=%v", got, hit, called)
+	}
+	// Keys past the cap recompute on every call.
+	calls := 0
+	for i := 0; i < 2; i++ {
+		c.Do(9, func() (int, error) { calls++; return 81, nil })
+	}
+	if calls != 2 || c.Len() != 2 {
+		t.Errorf("uncached key computed %d times (want 2), Len = %d (want 2)", calls, c.Len())
 	}
 }
 
@@ -68,7 +82,7 @@ func TestDoFullCacheComputesFresh(t *testing.T) {
 // max + P − 1 — the overshoot is bounded by worker count, not traffic.
 func TestLenBoundUnderConcurrentInserts(t *testing.T) {
 	const max = 256
-	c := New[int, int](max)
+	c := NewSharded[int, int](intHash, max)
 	workers := runtime.GOMAXPROCS(0)
 	if workers < 4 {
 		workers = 16 // hammer with real concurrency even on 1-core CI
@@ -81,12 +95,12 @@ func TestLenBoundUnderConcurrentInserts(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
 				key := w*perWorker + i // all distinct
-				c.Do(key, func() int { return key })
+				c.Do(key, func() (int, error) { return key, nil })
 			}
 		}(w)
 	}
 	wg.Wait()
-	bound := int64(max + workers)
+	bound := max + workers - 1
 	if got := c.Len(); got > bound {
 		t.Errorf("Len = %d after concurrent inserts, want <= %d (max %d + %d workers)", got, bound, max, workers)
 	}
@@ -96,31 +110,52 @@ func TestLenBoundUnderConcurrentInserts(t *testing.T) {
 }
 
 // TestDoPanicUnparksWaiters: a panicking fn must not leave waiters
-// parked forever or freeze a broken entry in.
+// parked forever or freeze a broken entry in. A waiter parked on the
+// panicking computation is released with an error.
 func TestDoPanicUnparksWaiters(t *testing.T) {
-	c := New[string, int](10)
-	func() {
+	c := NewSharded[string, int](HashString, 10)
+	started, release := make(chan struct{}), make(chan struct{})
+	type outcome struct {
+		err error
+		hit bool
+	}
+	waiter := make(chan outcome)
+	go func() {
 		defer func() { recover() }()
-		c.Do("k", func() int { panic("boom") })
+		c.Do("k", func() (int, error) {
+			close(started)
+			<-release
+			panic("boom")
+		})
 	}()
-	// The entry was dropped: the next call recomputes and succeeds.
-	if got := c.Do("k", func() int { return 7 }); got != 7 {
-		t.Errorf("post-panic Do = %d, want 7", got)
+	<-started
+	go func() {
+		_, err, hit := c.Do("k", func() (int, error) { return 7, nil })
+		waiter <- outcome{err, hit}
+	}()
+	// Give the waiter time to park, then let the winner panic. A
+	// waiter that parked gets errPanicked; one that arrives after the
+	// panic finds no entry and computes itself. Either way it returns.
+	time.Sleep(10 * time.Millisecond)
+	close(release)
+	if o := <-waiter; o.hit && o.err != errPanicked || !o.hit && o.err != nil {
+		t.Errorf("waiter err = %v (hit=%v), want %v when parked, nil otherwise", o.err, o.hit, errPanicked)
+	}
+	// The panicked entry was dropped: the next call (or the late
+	// waiter) recomputes and stores 7.
+	if got, err, _ := c.Do("k", func() (int, error) { return 7, nil }); got != 7 || err != nil {
+		t.Errorf("post-panic Do = %d, %v; want 7", got, err)
+	}
+	if c.Len() != 1 {
+		t.Errorf("Len = %d after recovery, want 1", c.Len())
 	}
 }
 
-func shardHash(k string) uint32 {
-	var h uint32 = 2166136261
-	for i := 0; i < len(k); i++ {
-		h = (h ^ uint32(k[i])) * 16777619
-	}
-	return h
-}
-
-// TestShardedSingleflight mirrors the Cache contract on the sharded
-// path: one fn call per key, shared result, hit reporting.
+// TestShardedSingleflight: concurrent misses on one key run fn exactly
+// once; every caller observes the winner's value and all but the
+// winner report a hit.
 func TestShardedSingleflight(t *testing.T) {
-	s := NewSharded[string, int](shardHash)
+	s := NewSharded[string, int](HashString, 1<<10)
 	var calls atomic.Int64
 	gate := make(chan struct{})
 	const workers = 32
@@ -160,7 +195,7 @@ func TestShardedSingleflight(t *testing.T) {
 // parked waiters but removed before they are released — the next call
 // recomputes.
 func TestShardedErrorsNeverCached(t *testing.T) {
-	s := NewSharded[string, int](shardHash)
+	s := NewSharded[string, int](HashString, 1<<10)
 	boom := errors.New("transient")
 	if _, err, _ := s.Do("k", func() (int, error) { return 0, boom }); err != boom {
 		t.Fatalf("err = %v, want %v", err, boom)
@@ -177,7 +212,7 @@ func TestShardedErrorsNeverCached(t *testing.T) {
 // TestShardedConcurrentDistinctKeys hammers many keys across shards
 // under the race detector: every key computes exactly once.
 func TestShardedConcurrentDistinctKeys(t *testing.T) {
-	s := NewSharded[string, int](shardHash)
+	s := NewSharded[string, int](HashString, 1<<10)
 	const keys = 512
 	var calls [keys]atomic.Int32
 	var wg sync.WaitGroup

@@ -26,7 +26,7 @@ type parseOutcome struct {
 
 var (
 	astCacheOn atomic.Bool
-	astCache   = memo.New[[sha256.Size]byte, *parseOutcome](1 << 15)
+	astCache   = memo.NewSharded[[sha256.Size]byte, *parseOutcome](memo.HashDigest, 1<<15)
 )
 
 func init() { astCacheOn.Store(true) }
@@ -47,9 +47,9 @@ func ParseCached(src string) (*program, error) {
 	if !astCacheOn.Load() {
 		return Parse(src)
 	}
-	o := astCache.Do(sha256.Sum256([]byte(src)), func() *parseOutcome {
+	o, _, _ := astCache.Do(sha256.Sum256([]byte(src)), func() (*parseOutcome, error) {
 		prog, err := Parse(src)
-		return &parseOutcome{prog: prog, err: err}
+		return &parseOutcome{prog: prog, err: err}, nil
 	})
 	return o.prog, o.err
 }

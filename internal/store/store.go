@@ -28,11 +28,10 @@
 // others.
 //
 // A legacy single-file log at <path> itself — the pre-shard layout —
-// is transparently read through: Open replays it first (its records
-// are the oldest, so segment records win conflicts), appends always go
-// to the owning shard's segment, and the first successful Compact
-// migrates every record into the sharded layout and removes the
-// legacy file.
+// is migrated once, by Open: it replays the file first (its records
+// are the oldest, so segment records win conflicts), compacts every
+// newest record into the shard segments, and removes the file. A
+// failed migration fails Open and is retried by the next one.
 //
 // # On-disk format
 //
@@ -69,9 +68,9 @@
 // cost per record is ~100 bytes regardless of how large its output or
 // response text is. Get/GetGen pread the frame on demand, re-verify
 // its checksum, decode, and serve the result through a bounded
-// sharded-LRU hot cache (WithHotCacheBytes, default 256 MiB), so a
-// warm campaign's working set stays in-memory fast while RSS is
-// bounded by index size + cache budget, not corpus size.
+// sharded-LRU hot cache (WithHotCacheBytes, default 256 MiB), so
+// repeat reads stay in-memory fast while RSS is bounded by index size
+// + cache budget, not corpus size.
 //
 // Compact additionally writes each shard's index as a checksummed
 // binary sidecar (<segment>.idx, see snapshot.go) tied to the
@@ -267,7 +266,8 @@ type OpenStats struct {
 	SnapshotShards int
 	// SnapshotFrames and ScannedFrames partition the index entries by
 	// provenance: supplied by a sidecar vs decoded from the log (the
-	// post-snapshot tail, sidecar-less shards, and any legacy file).
+	// post-snapshot tail, sidecar-less shards, and a migrated legacy
+	// file).
 	SnapshotFrames int
 	ScannedFrames  int
 	Duration       time.Duration
@@ -291,13 +291,6 @@ type Store struct {
 	// compactMu serializes Compact calls (each shard's compaction also
 	// takes that shard's log lock; appends to other shards proceed).
 	compactMu sync.Mutex
-	// legacyMu guards legacy state: whether the pre-shard single-file
-	// log at path still exists (and must be preserved until a full
-	// Compact has migrated its records) and the open handle on it that
-	// serves on-demand reads of legacy-resident records.
-	legacyMu sync.Mutex
-	legacy   bool
-	legacyLF *logFile
 }
 
 // segPath names shard i's segment file.
@@ -408,14 +401,18 @@ func writeShardMeta(path string, n int) error {
 
 // Open reads (or creates) the sharded store rooted at path, rebuilding
 // the offset index for every intact record: first the legacy
-// single-file log at path itself if one exists (the pre-shard layout,
-// read through transparently), then all shard segments in parallel. A
-// shard whose index-snapshot sidecar validates loads its index
-// directly and scans only the post-snapshot tail; anything wrong with
-// a sidecar silently falls back to that shard's full scan. A truncated
+// single-file log at path itself if one exists (the pre-shard layout),
+// then all shard segments in parallel. A shard whose index-snapshot
+// sidecar validates loads its index directly and scans only the
+// post-snapshot tail; anything wrong with a sidecar silently falls
+// back to that shard's full scan. A truncated
 // or corrupt tail in any file — the signature of a crash mid-append —
 // is dropped and that file truncated back to its last intact record,
-// not treated as fatal.
+// not treated as fatal. A legacy log is then migrated: Compact copies
+// its newest records into the segments and the file is removed. If
+// the migration fails, Open returns the error and leaves the legacy
+// file for the next Open to retry — any records already copied are
+// duplicates that replay order resolves.
 func Open(path string, opts ...Option) (*Store, error) {
 	start := time.Now()
 	cfg := config{cacheBytes: DefaultHotCacheBytes}
@@ -452,15 +449,13 @@ func Open(path string, opts ...Option) (*Store, error) {
 	// each record to its owning shard's index. It runs before the
 	// parallel segment replay so segment records — always at least as
 	// new, since appends only ever go to segments once the sharded
-	// store exists — overwrite legacy ones on conflict. The handle
-	// stays open: legacy-resident records are pread on demand like any
-	// others, until Compact migrates them into the segments.
+	// store exists — overwrite legacy ones on conflict.
+	var legacy *logFile
 	if fi, err := os.Stat(path); err == nil && fi.Mode().IsRegular() {
-		if err := s.replayLegacy(); err != nil {
+		if legacy, err = s.replayLegacy(); err != nil {
 			s.closeFiles()
 			return nil, err
 		}
-		s.legacy = true
 	}
 	// Parallel replay: one goroutine per shard, each with its own
 	// reusable payload buffer, each truncating its own torn tail.
@@ -476,6 +471,15 @@ func Open(path string, opts ...Option) (*Store, error) {
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
+			if legacy != nil {
+				legacy.close()
+			}
+			s.closeFiles()
+			return nil, err
+		}
+	}
+	if legacy != nil {
+		if err := s.migrateLegacy(legacy); err != nil {
 			s.closeFiles()
 			return nil, err
 		}
@@ -495,33 +499,41 @@ func (s *Store) closeFiles() {
 	for _, seg := range s.segs {
 		seg.lf.close()
 	}
-	if s.legacyLF != nil {
-		s.legacyLF.close()
-	}
 }
 
 // replayLegacy loads the pre-shard single-file log at s.path into the
-// shard indexes and truncates its torn tail. The handle is kept open
-// in s.legacyLF — the offset index points into it until the first
-// full Compact migrates every record into the segments.
-func (s *Store) replayLegacy() error {
-	f, err := os.OpenFile(s.path, os.O_RDWR, 0o644)
+// shard indexes, stopping at its first bad frame. The returned handle
+// backs the index entries until migrateLegacy copies them out.
+func (s *Store) replayLegacy() (*logFile, error) {
+	f, err := os.Open(s.path)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	s.legacyLF = newLogFile(f)
-	good, err := scanLog(f, 0, func(fr keyFrame, off int64, n, sum uint32) bool {
-		if !s.load(s.legacyLF, fr, off, n, sum) {
+	lf := newLogFile(f)
+	if _, err := scanLog(f, 0, func(fr keyFrame, off int64, n, sum uint32) bool {
+		if !s.load(lf, fr, off, n, sum) {
 			return false
 		}
 		s.openStats.ScannedFrames++
 		return true
-	})
-	if err != nil {
-		return err
+	}); err != nil {
+		lf.close()
+		return nil, err
 	}
-	if err := f.Truncate(good); err != nil {
-		return fmt.Errorf("store: truncate legacy torn tail: %w", err)
+	return lf, nil
+}
+
+// migrateLegacy moves every legacy-resident record into the segments:
+// Compact raw-copies each key's newest frame, after which no index
+// entry points at the legacy handle and the file can go.
+func (s *Store) migrateLegacy(legacy *logFile) error {
+	err := s.Compact()
+	legacy.close()
+	if err != nil {
+		return fmt.Errorf("store: migrate legacy log: %w", err)
+	}
+	if err := os.Remove(s.path); err != nil {
+		return fmt.Errorf("store: remove migrated legacy log: %w", err)
 	}
 	return nil
 }
@@ -956,12 +968,7 @@ func (s *Store) Err() error {
 // loses nothing — neither in shard k (the rename is atomic; the old
 // segment stays until it succeeds, and the sidecar is invalidated
 // before the swap so it can never describe bytes that aren't there)
-// nor in shards ≠ k (their files are untouched). When every shard has
-// been durably rewritten, any legacy pre-shard log at path is fully
-// migrated into the segments (its frames raw-copied by the rewrites)
-// and removed; a crash before that point leaves the legacy file in
-// place, and its stale duplicates are resolved on the next Open by
-// replay order (legacy first, segments overwrite).
+// nor in shards ≠ k (their files are untouched).
 func (s *Store) Compact() error {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
@@ -981,22 +988,6 @@ func (s *Store) Compact() error {
 			return err
 		}
 	}
-
-	s.legacyMu.Lock()
-	defer s.legacyMu.Unlock()
-	if s.legacy {
-		// Every shard rewrite succeeded, so every record that lived in
-		// the legacy file now has a byte-identical copy in a segment
-		// and no index entry points at the legacy handle anymore.
-		if s.legacyLF != nil {
-			s.legacyLF.close()
-			s.legacyLF = nil
-		}
-		if err := os.Remove(s.path); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("store: remove migrated legacy log: %w", err)
-		}
-		s.legacy = false
-	}
 	return nil
 }
 
@@ -1012,8 +1003,7 @@ func (s *Store) Sync() error {
 	return first
 }
 
-// Close syncs and releases every segment (and the legacy log handle,
-// if one is still being read through). The Store must not be used
+// Close syncs and releases every segment. The Store must not be used
 // after Close.
 func (s *Store) Close() error {
 	var first error
@@ -1022,13 +1012,5 @@ func (s *Store) Close() error {
 			first = err
 		}
 	}
-	s.legacyMu.Lock()
-	if s.legacyLF != nil {
-		if err := s.legacyLF.close(); err != nil && first == nil {
-			first = err
-		}
-		s.legacyLF = nil
-	}
-	s.legacyMu.Unlock()
 	return first
 }

@@ -34,7 +34,7 @@ type docOutcome struct {
 
 var (
 	docCacheOn atomic.Bool
-	docCache   = memo.New[[sha256.Size]byte, *docOutcome](1 << 16)
+	docCache   = memo.NewSharded[[sha256.Size]byte, *docOutcome](memo.HashDigest, 1<<16)
 )
 
 func init() { docCacheOn.Store(true) }
@@ -54,9 +54,9 @@ func ParseAllCached(data []byte) ([]*Node, error) {
 	if !docCacheOn.Load() {
 		return ParseAll(data)
 	}
-	o := docCache.Do(sha256.Sum256(data), func() *docOutcome {
+	o, _, _ := docCache.Do(sha256.Sum256(data), func() (*docOutcome, error) {
 		docs, err := ParseAll(data)
-		return &docOutcome{docs: docs, err: err}
+		return &docOutcome{docs: docs, err: err}, nil
 	})
 	return o.docs, o.err
 }
